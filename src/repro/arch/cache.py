@@ -126,6 +126,41 @@ class Cache:
         if self.writeback:
             self.dirty[s, way, byte_offsets] = True
 
+    # -- snapshots ------------------------------------------------------------
+
+    def state(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Read-only copy of tags, LRU stamps, dirty bytes and LRU clock.
+
+        This is all that decides future hits, victims and writebacks;
+        the event log and hit counters only describe the past.  Dirty
+        masks are bit-packed, 8x smaller.
+        """
+        arrays = (
+            self.tags.copy(), self.lru.copy(), np.packbits(self.dirty, axis=-1)
+        )
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays + (self._lru_clock,)
+
+    def set_state(self, state: Tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> None:
+        """Load a :meth:`state` copy."""
+        tags, lru, dirty, self._lru_clock = state
+        self.tags[...] = tags
+        self.lru[...] = lru
+        self.dirty[...] = np.unpackbits(
+            dirty, axis=-1, count=self.config.line_bytes
+        ).view(bool)
+
+    def has_state(self, state: Tuple[np.ndarray, np.ndarray, np.ndarray, int]) -> bool:
+        """True when this cache's :meth:`state` would equal ``state``."""
+        tags, lru, dirty, clock = state
+        return (
+            self._lru_clock == clock
+            and np.array_equal(self.tags, tags)
+            and np.array_equal(self.lru, lru)
+            and np.array_equal(np.packbits(self.dirty, axis=-1), dirty)
+        )
+
     def flush(self, t: int) -> None:
         """Write back and evict every resident line (end of simulation)."""
         for s in range(self.config.n_sets):
@@ -153,6 +188,11 @@ class MemSystem:
         self.mem_latency = mem_latency
         self.store_latency = store_latency
         self._fill_seq = 0
+
+    @property
+    def caches(self) -> List[Cache]:
+        """Every cache level: the L1s in CU order, then the L2."""
+        return self.l1s + [self.l2]
 
     def _next_fill(self) -> int:
         self._fill_seq += 1

@@ -11,12 +11,19 @@ The timing model is deliberately simple but produces the behaviour the
 paper's results depend on: one instruction per CU per cycle, round-robin
 wavefront scheduling, blocking loads with hit/miss latencies, buffered
 stores, and latency hiding across wavefronts.
+
+A device built with ``snapshots=True`` also keeps a bounded set of
+read-only golden :class:`Snapshot` s of its full state, and
+:meth:`Apu.restore` loads one into a fresh device; fault-injection runs
+resume from them (:mod:`repro.faultinject.checkpoint`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,10 +34,30 @@ from .isa import WAVEFRONT_LANES, Instr, Program
 from .memory import GlobalMemory, Lds
 from .trace import InstrRecord
 
-__all__ = ["Wavefront", "ComputeUnit", "Apu", "LaunchStats"]
+__all__ = ["Wavefront", "ComputeUnit", "Apu", "LaunchStats", "Snapshot"]
 
 M32 = 0xFFFFFFFF
 _LANES = np.arange(WAVEFRONT_LANES)
+
+#: most golden snapshots one device keeps; when a capture would exceed
+#: it, every other snapshot is dropped and the spacing doubles
+SNAPSHOT_CAP = 16
+#: cycles between golden snapshots before the first thinning
+SNAPSHOT_INTERVAL = 64
+#: "no checkpoint due" sentinel for the scheduler loop
+_NEVER = 1 << 62
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _zero_lds(size: int) -> np.ndarray:
+    """One shared read-only image for every all-zero frozen LDS."""
+    return _readonly(np.zeros(size, dtype=np.uint8))
 
 
 @dataclass
@@ -43,6 +70,10 @@ class LaunchStats:
     instructions: int = 0
     start_cycle: int = 0
     end_cycle: int = 0
+    #: what the host passed to :meth:`Apu.launch`, so the launch can be
+    #: replayed without re-running the workload's host code
+    program: Optional[Program] = field(default=None, repr=False, compare=False)
+    args: Tuple[int, ...] = ()
 
     @property
     def cycles(self) -> int:
@@ -76,6 +107,73 @@ class Wavefront:
         self.ready = 0
         self.done = False
         self.lds = lds
+
+    def _with(self, vregs, sregs, vcc, exec_mask, lds: Lds) -> "Wavefront":
+        wf = Wavefront.__new__(Wavefront)
+        wf.id, wf.pc, wf.program = self.id, self.pc, self.program
+        wf.scc, wf.ready, wf.done = self.scc, self.ready, self.done
+        wf.vregs, wf.sregs, wf.vcc = vregs, sregs, vcc
+        wf.exec_mask, wf.lds = exec_mask, lds
+        return wf
+
+    def freeze(self) -> "Wavefront":
+        """A read-only copy for a golden snapshot."""
+        data = self.lds.data
+        lds = Lds(
+            self.lds.size,
+            _readonly(data) if data.any() else _zero_lds(self.lds.size),
+        )
+        return self._with(
+            _readonly(self.vregs), tuple(self.sregs), _readonly(self.vcc),
+            _readonly(self.exec_mask), lds,
+        )
+
+    def thaw(self) -> "Wavefront":
+        """A live copy of a frozen wavefront (explicit array copies)."""
+        # exec_mask is never written after launch: share the frozen one.
+        return self._with(
+            self.vregs.copy(), list(self.sregs), self.vcc.copy(),
+            self.exec_mask, Lds(self.lds.size, self.lds.data.copy()),
+        )
+
+    def same_state(self, frozen: "Wavefront") -> bool:
+        """True when this wavefront's state equals a frozen one's."""
+        return (
+            self.id == frozen.id and self.pc == frozen.pc
+            and self.ready == frozen.ready and self.done == frozen.done
+            and self.scc == frozen.scc and self.program is frozen.program
+            and tuple(self.sregs) == frozen.sregs
+            and np.array_equal(self.vregs, frozen.vregs)
+            and np.array_equal(self.vcc, frozen.vcc)
+            and np.array_equal(self.exec_mask, frozen.exec_mask)
+            and np.array_equal(self.lds.data, frozen.lds.data)
+        )
+
+
+#: one CU in a snapshot: (round-robin pointer, resident, pending)
+CuState = Tuple[int, Tuple[Wavefront, ...], Tuple[Wavefront, ...]]
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """Read-only device state at the top of one scheduler iteration.
+
+    It holds everything that decides the rest of a run: the memory
+    image, every CU's wavefronts and round-robin pointer, and the cache
+    tags, LRU and dirty state.  Trace records, cache events and hit
+    counters describe the past and are left out.  Memory past
+    ``len(memory)`` was all zero when the snapshot was taken.
+    """
+
+    cycle: int
+    #: index of the launch that was running
+    launch: int
+    #: wavefront ids handed out so far
+    wf_seq: int
+    memory: np.ndarray
+    cus: Tuple[CuState, ...]
+    #: :meth:`~repro.arch.cache.Cache.state` of every L1, then the L2
+    caches: Tuple[Tuple, ...]
 
 
 class ComputeUnit:
@@ -122,7 +220,13 @@ class ComputeUnit:
 
 
 class Apu:
-    """The simulated APU: GPU compute units + cache hierarchy + memory."""
+    """The simulated APU: GPU compute units + cache hierarchy + memory.
+
+    With ``snapshots=True`` the device captures golden :class:`Snapshot` s
+    into :attr:`snapshots` while it runs: one every
+    :data:`SNAPSHOT_INTERVAL` cycles from cycle 0, thinned to at most
+    :data:`SNAPSHOT_CAP` (the cycle-0 snapshot is always kept).
+    """
 
     def __init__(
         self,
@@ -133,6 +237,7 @@ class Apu:
         max_resident_wavefronts: int = 8,
         lds_bytes: int = 4096,
         max_cycles: int = 50_000_000,
+        snapshots: bool = False,
     ) -> None:
         self.memory = memory if memory is not None else GlobalMemory()
         self.memsys = MemSystem(n_cus, l1_config, l2_config)
@@ -148,6 +253,19 @@ class Apu:
         self._finished = False
         self._injections: Dict[int, List[Tuple[int, int, int, int]]] = {}
         self._mem_injections: List[Tuple[int, int, int]] = []
+        #: launches started so far; the running one is ``_launched - 1``
+        self._launched = 0
+        #: golden snapshots taken so far (``snapshots=True`` only)
+        self.snapshots: List[Snapshot] = []
+        self._snapshot_every = SNAPSHOT_INTERVAL
+        self._frozen_pending: Dict[int, Wavefront] = {}
+        #: golden snapshots a restored run is compared against
+        self._golden: Sequence[Snapshot] = ()
+        self._golden_cycles: List[int] = []
+        #: set when a restored run's state equals golden's (see restore)
+        self.converged = False
+        #: cycle of the next snapshot capture or convergence check
+        self._checkpoint_at = 0 if snapshots else _NEVER
 
     def inject_memory_fault(self, addr: int, bitmask: int, cycle: int) -> None:
         """Schedule a transient fault in the memory/cache data image.
@@ -164,7 +282,7 @@ class Apu:
         while self._mem_injections and self._mem_injections[0][0] <= self.cycle:
             _, addr, bitmask = self._mem_injections.pop(0)
             if 0 <= addr < self.memory.size:
-                self.memory.data[addr] ^= np.uint8(bitmask)
+                self.memory.flip(addr, bitmask)
 
     def inject_fault(
         self, wf_id: int, reg: int, lane: int, bitmask: int, cycle: int
@@ -220,7 +338,10 @@ class Apu:
         if n_threads <= 0:
             raise ValueError("kernel needs at least one thread")
         n_wfs = (n_threads + WAVEFRONT_LANES - 1) // WAVEFRONT_LANES
-        stats = LaunchStats(name, n_threads, n_wfs, start_cycle=self.cycle)
+        stats = LaunchStats(
+            name, n_threads, n_wfs, start_cycle=self.cycle,
+            program=program, args=tuple(int(a) for a in args),
+        )
         for i in range(n_wfs):
             wf_id = self._wf_seq
             self._wf_seq += 1
@@ -232,8 +353,25 @@ class Apu:
             wf.vregs[0] = (base + _LANES).astype(np.uint32)  # v0 = global tid
             wf.vregs[1] = _LANES.astype(np.uint32)           # v1 = lane id
             self.cus[i % len(self.cus)].pending.append(wf)
+        self._launched += 1
+        return self._run_launch(stats)
+
+    def resume(self, launch: LaunchStats) -> LaunchStats:
+        """Finish ``launch``, the golden launch a restored snapshot was
+        taken in; the returned stats cover only the part run here."""
+        if self._finished:
+            raise RuntimeError("device already finished; create a new Apu")
+        stats = LaunchStats(
+            launch.name, launch.n_threads, launch.n_wavefronts,
+            start_cycle=self.cycle, program=launch.program, args=launch.args,
+        )
+        return self._run_launch(stats)
+
+    def _run_launch(self, stats: LaunchStats) -> LaunchStats:
         n_before = len(self.records)
-        with get_tracer().span("kernel", kernel=name, wavefronts=n_wfs) as sp:
+        with get_tracer().span(
+            "kernel", kernel=stats.name, wavefronts=stats.n_wavefronts
+        ) as sp:
             self._run()
         stats.instructions = len(self.records) - n_before
         stats.end_cycle = self.cycle
@@ -284,6 +422,9 @@ class Apu:
         self.memsys.flush(self.cycle)
         self.cycle += 1
         self._finished = True
+        # Memory faults due after the last instruction still corrupt the
+        # data the host reads back.
+        self._apply_mem_injections()
         mx = get_metrics()
         if mx:
             mx.counter("sim.l1_hits").inc(sum(c.hits for c in self.memsys.l1s))
@@ -294,8 +435,112 @@ class Apu:
             mx.counter("sim.l2_misses").inc(self.memsys.l2.misses)
         return self.cycle
 
+    # -- golden snapshots ----------------------------------------------------
+
+    def restore(self, snap: Snapshot, watch: Sequence[Snapshot] = ()) -> None:
+        """Load ``snap`` into this fresh device.
+
+        Call :meth:`resume` with the snapshot's launch next.  With
+        ``watch`` (golden snapshots of the same run), the scheduler
+        stops at the top of any iteration whose full state equals the
+        golden snapshot of that cycle while no injection is pending, and
+        sets :attr:`converged`: the simulator is deterministic, so the
+        rest of the run would repeat golden's.
+        """
+        if self.cycle or self._launched:
+            raise RuntimeError("restore needs a fresh device")
+        self.memory.load_image(snap.memory)
+        for cache, state in zip(self.memsys.caches, snap.caches):
+            cache.set_state(state)
+        for cu, (rr, resident, pending) in zip(self.cus, snap.cus):
+            cu._rr = rr
+            cu.resident = [wf.thaw() for wf in resident]
+            cu.pending = deque(wf.thaw() for wf in pending)
+        self.cycle = snap.cycle
+        self._launched = snap.launch + 1
+        self._wf_seq = snap.wf_seq
+        self._golden = watch
+        self._golden_cycles = [g.cycle for g in watch]
+        i = bisect_left(self._golden_cycles, self.cycle)
+        self._checkpoint_at = (
+            self._golden_cycles[i] if i < len(watch) else _NEVER
+        )
+
+    def _checkpoint(self) -> bool:
+        """Top-of-iteration hook: capture a golden snapshot, or (on a
+        restored device) report convergence to golden."""
+        if not self._golden:
+            self._capture()
+            return False
+        cycles = self._golden_cycles
+        i = bisect_left(cycles, self.cycle)
+        hit = (
+            i < len(cycles) and cycles[i] == self.cycle
+            and not self._injections and not self._mem_injections
+            and self._matches(self._golden[i])
+        )
+        j = bisect_right(cycles, self.cycle)
+        self._checkpoint_at = cycles[j] if j < len(cycles) else _NEVER
+        return hit
+
+    def _capture(self) -> None:
+        # A pending wavefront has not issued, so its frozen copy stays
+        # valid (and shared) across snapshots until it is admitted.
+        frozen = {
+            wf.id: self._frozen_pending.get(wf.id) or wf.freeze()
+            for cu in self.cus for wf in cu.pending
+        }
+        self._frozen_pending = frozen
+        self.snapshots.append(Snapshot(
+            cycle=self.cycle,
+            launch=self._launched - 1,
+            wf_seq=self._wf_seq,
+            memory=self.memory.image(),
+            cus=tuple(
+                (
+                    cu._rr,
+                    tuple(wf.freeze() for wf in cu.resident),
+                    tuple(frozen[wf.id] for wf in cu.pending),
+                )
+                for cu in self.cus
+            ),
+            caches=tuple(c.state() for c in self.memsys.caches),
+        ))
+        if len(self.snapshots) > SNAPSHOT_CAP:
+            del self.snapshots[1::2]
+            self._snapshot_every *= 2
+        self._checkpoint_at = self.cycle + self._snapshot_every
+
+    def _matches(self, g: Snapshot) -> bool:
+        """Full-state equality with golden snapshot ``g`` of this cycle."""
+        if self._launched - 1 != g.launch:
+            return False
+        for cu, (rr, resident, pending) in zip(self.cus, g.cus):
+            # Pending wavefronts have not issued: their state is fixed by
+            # their launch and id, so equal ids mean equal state.
+            if (
+                cu._rr != rr or len(cu.resident) != len(resident)
+                or [wf.id for wf in cu.pending] != [wf.id for wf in pending]
+                or not all(
+                    a.same_state(b) for a, b in zip(cu.resident, resident)
+                )
+            ):
+                return False
+        mem = self.memory
+        n = len(g.memory)
+        return (
+            np.array_equal(mem.data[:n], g.memory)
+            and all(
+                c.has_state(st) for c, st in zip(self.memsys.caches, g.caches)
+            )
+            and (mem.high_water <= n or not mem.data[n:].any())
+        )
+
     def _run(self) -> None:
         while any(cu.busy() for cu in self.cus):
+            if self.cycle >= self._checkpoint_at and self._checkpoint():
+                self.converged = True
+                return
             if self._mem_injections:
                 self._apply_mem_injections()
             nxt: List[int] = []

@@ -9,7 +9,7 @@ timing and movement — which is all the ACE analysis consumes.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,8 @@ class GlobalMemory:
         self.data = np.zeros(size, dtype=np.uint8)
         self._next = 64  # keep address 0 unused to catch null-pointer bugs
         self._buffers: Dict[str, Tuple[int, int]] = {}
+        #: end of the highest byte a device store, fault or image wrote
+        self._top = 0
 
     # -- allocation ---------------------------------------------------------
 
@@ -37,6 +39,31 @@ class GlobalMemory:
         self._next = base + nbytes
         self._buffers[name] = (base, nbytes)
         return base
+
+    @property
+    def high_water(self) -> int:
+        """Every byte past this is still zero.
+
+        It is the end of the highest allocation, device store, flipped
+        byte or loaded image; host code writes through buffer views.
+        """
+        return max(self._next, self._top)
+
+    def image(self) -> np.ndarray:
+        """Read-only copy of the memory up to :attr:`high_water`."""
+        out = self.data[: self.high_water].copy()
+        out.flags.writeable = False
+        return out
+
+    def load_image(self, image: np.ndarray) -> None:
+        """Overwrite the start of memory with an :meth:`image` copy."""
+        self.data[: len(image)] = image
+        self._top = max(self._top, len(image))
+
+    def flip(self, addr: int, bitmask: int) -> None:
+        """XOR ``bitmask`` into one byte (a transient fault)."""
+        self.data[addr] ^= np.uint8(bitmask)
+        self._top = max(self._top, addr + 1)
 
     def buffer(self, name: str) -> Tuple[int, int]:
         """(base, size) of a named buffer."""
@@ -70,9 +97,12 @@ class GlobalMemory:
 
     # -- device-side vector access -------------------------------------------
 
-    def _check(self, addrs: np.ndarray, nbytes: int) -> None:
-        if len(addrs) and int(addrs.max()) + nbytes > self.size:
+    def _check(self, addrs: np.ndarray, nbytes: int) -> int:
+        """End of the highest byte accessed; raises past the memory."""
+        end = int(addrs.max()) + nbytes if len(addrs) else 0
+        if end > self.size:
             raise MemoryError("access beyond simulated memory")
+        return end
 
     def load32(self, addrs: np.ndarray) -> np.ndarray:
         """Gather 32-bit words at per-lane byte addresses (4-byte aligned)."""
@@ -87,7 +117,7 @@ class GlobalMemory:
     def store32(self, addrs: np.ndarray, values: np.ndarray) -> None:
         if (addrs % 4).any():
             raise ValueError("unaligned 32-bit store")
-        self._check(addrs, 4)
+        self._top = max(self._top, self._check(addrs, 4))
         for a, val in zip(addrs, values):
             self.data[a : a + 4] = np.frombuffer(
                 np.uint32(val).tobytes(), dtype=np.uint8
@@ -98,7 +128,7 @@ class GlobalMemory:
         return self.data[addrs].astype(np.uint32)
 
     def store8(self, addrs: np.ndarray, values: np.ndarray) -> None:
-        self._check(addrs, 1)
+        self._top = max(self._top, self._check(addrs, 1))
         self.data[addrs] = (values & 0xFF).astype(np.uint8)
 
 
@@ -111,9 +141,9 @@ class Lds:
     producers live).
     """
 
-    def __init__(self, size: int = 4096) -> None:
+    def __init__(self, size: int = 4096, data: Optional[np.ndarray] = None) -> None:
         self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.data = np.zeros(size, dtype=np.uint8) if data is None else data
 
     def load32(self, addrs: np.ndarray) -> np.ndarray:
         if (addrs % 4).any():

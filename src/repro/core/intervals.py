@@ -326,7 +326,7 @@ class IntervalSet:
         # after `end`: everything between overlaps the window.
         i0 = int(np.searchsorted(e, start, side="right"))
         i1 = int(np.searchsorted(s, end, side="left"))
-        if i0 >= i1:
+        if i0 >= i1 or start >= end:
             return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
         s2 = np.clip(s[i0:i1], start, end)
         e2 = np.clip(e[i0:i1], start, end)

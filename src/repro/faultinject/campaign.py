@@ -17,11 +17,15 @@ The study proceeds exactly as in the paper:
 The paper finds 2 interfering groups out of 1730 SDC ACE bits (~0.1%),
 concluding single-bit ACE analysis is a sound basis for SDC MB-AVF.
 
-Every injection runs through the fault-tolerant campaign runtime
-(:mod:`repro.runtime`): with ``jobs >= 1`` each simulation executes in an
-isolated worker process with a wall-clock timeout and bounded retries,
-and with a ``journal`` every completed injection is checkpointed so a
-killed campaign resumes from where it died.
+Each injection resumes from a golden snapshot instead of re-simulating
+from cycle 0, and stops as soon as its state converges back to golden
+(:mod:`repro.faultinject.checkpoint`; verdicts equal a full
+re-simulation's).  Every injection runs through the fault-tolerant
+campaign runtime (:mod:`repro.runtime`): with ``jobs >= 1`` each
+simulation executes in an isolated worker process with a wall-clock
+timeout and bounded retries, and with a ``journal`` every completed
+injection is checkpointed so a killed campaign resumes from where it
+died.
 """
 
 from __future__ import annotations
@@ -40,10 +44,9 @@ from ..runtime import (
     Task,
     TaskOutcome,
     TaskResult,
-    classify_exception,
 )
-from ..workloads.base import run_workload
 from ..workloads.suite import OPENCL_SAMPLES, REGISTRY
+from .checkpoint import GoldenRun, InjectionOutcome
 
 __all__ = [
     "InjectionOutcome",
@@ -55,18 +58,6 @@ __all__ = [
 
 #: cycle budget for one injected simulation before it counts as a hang
 DEFAULT_MAX_CYCLES = 2_000_000
-
-
-class InjectionOutcome:
-    """Semantic outcome labels for a single injection run."""
-
-    MASKED = "masked"      # output identical to golden
-    SDC = "sdc"            # output silently corrupted
-    CRASH = "crash"        # simulator trapped (bad address, illegal op...)
-    HANG = "hang"          # simulator exceeded its cycle budget
-
-    #: Table II counts crash and hang alike as non-SDC detections
-    ALL = (MASKED, SDC, CRASH, HANG)
 
 
 #: runtime taxonomy -> injection verdict for semantic failures
@@ -169,36 +160,23 @@ class BenchmarkCampaign:
         )
 
 
-class _Runner:
-    """Executes one workload repeatedly with identical inputs."""
+class _Runner(GoldenRun):
+    """Table II injections: register flips in one workload's VGPR."""
 
     def __init__(
         self, workload_cls, seed: int, n_cus: int,
         max_cycles: int = DEFAULT_MAX_CYCLES,
     ) -> None:
-        self.workload_cls = workload_cls
-        self.seed = seed
-        self.n_cus = n_cus
-        self.max_cycles = max_cycles
-        golden_run = run_workload(workload_cls(seed=seed), n_cus=n_cus)
-        #: kept for the ACE-model context stage of :func:`run_campaign`
-        self.golden_run = golden_run
-        self.golden = self._snapshot(golden_run)
-        recs = golden_run.apu.records
+        super().__init__(workload_cls, seed, n_cus, max_cycles)
+        recs = self.golden_run.apu.records
         # Injection targeting: wavefront activity windows + register counts.
         self.windows: Dict[int, Tuple[int, int]] = {}
         for r in recs:
             lo, hi = self.windows.get(r.wf, (r.t, r.t))
             self.windows[r.wf] = (min(lo, r.t), max(hi, r.t))
         self.n_vregs = {
-            w: p.n_vregs for w, p in golden_run.apu.wf_programs.items()
+            w: p.n_vregs for w, p in self.golden_run.apu.wf_programs.items()
         }
-
-    @staticmethod
-    def _snapshot(run) -> bytes:
-        return b"".join(
-            run.memory.data[b : b + sz].tobytes() for b, sz in run.output_ranges
-        )
 
     def random_spec(self, rng: np.random.Generator, n_bits: int = 1) -> InjectionSpec:
         wf = int(rng.choice(sorted(self.windows)))
@@ -217,47 +195,14 @@ class _Runner:
         return spec
 
     def inject(self, spec: InjectionSpec) -> str:
-        from ..arch.gpu import Apu
-        from ..arch.memory import GlobalMemory
-
         get_metrics().counter("campaign.injections").inc()
-        with get_tracer().span(
-            "inject", wf=spec.wf, reg=spec.reg, bits=len(spec.bits),
-        ) as span:
-            # Setup failures happen before any fault lands: they are harness
-            # bugs and propagate (the runtime reports them as INFRA_ERROR).
-            wl = self.workload_cls(seed=self.seed)
-            mem = GlobalMemory()
-            wl.setup(mem)
-            apu = Apu(n_cus=self.n_cus, memory=mem, max_cycles=self.max_cycles)
-            apu.inject_fault(
+        return self.inject_at(
+            spec.cycle,
+            lambda apu: apu.inject_fault(
                 spec.wf, spec.reg, spec.lane, spec.bitmask, spec.cycle
-            )
-            try:
-                wl.launch(apu)
-                apu.finish()
-            except Exception as exc:
-                # Post-injection exceptions are fault consequences: a cycle
-                # budget overrun is a hang, a simulator trap is a crash.
-                # Anything the taxonomy pins on the harness still propagates.
-                outcome = classify_exception(exc)
-                if outcome == TaskOutcome.SIM_HANG:
-                    span.set(verdict=InjectionOutcome.HANG)
-                    return InjectionOutcome.HANG
-                if outcome == TaskOutcome.SIM_CRASH:
-                    span.set(verdict=InjectionOutcome.CRASH)
-                    return InjectionOutcome.CRASH
-                raise
-            got = b"".join(
-                mem.data[b : b + sz].tobytes()
-                for b, sz in (mem.buffer(n) for n in wl.outputs)
-            )
-            verdict = (
-                InjectionOutcome.MASKED if got == self.golden
-                else InjectionOutcome.SDC
-            )
-            span.set(verdict=verdict)
-            return verdict
+            ),
+            wf=spec.wf, reg=spec.reg, bits=len(spec.bits),
+        )
 
 
 # -- worker-process entry points (must be module-level for spawn pickling) ----

@@ -13,10 +13,12 @@ ignore bit-level masking at the consumer, and detection-free regions treat
 every ACE hit as an SDC — so the observed rate should fall at or below the
 prediction, while remaining the right order of magnitude.
 
-Like the ACE-interference campaign, every injection is dispatched through
-the fault-tolerant runtime: ``jobs >= 1`` isolates simulations in worker
-processes with timeouts and retries, and a ``journal`` makes the
-validation run restartable.
+Like the ACE-interference campaign, every injection runs through the
+checkpointed routine of :mod:`repro.faultinject.checkpoint` (restore a
+golden snapshot, replay the launch log, stop at golden convergence) and
+is dispatched through the fault-tolerant runtime: ``jobs >= 1`` isolates
+simulations in worker processes with timeouts and retries, and a
+``journal`` makes the validation run restartable.
 """
 
 from __future__ import annotations
@@ -27,16 +29,9 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.analysis import AvfStudy
-from ..runtime import (
-    Executor,
-    Journal,
-    RetryPolicy,
-    Task,
-    TaskOutcome,
-    classify_exception,
-)
-from ..workloads.base import run_workload
+from ..runtime import Executor, Journal, RetryPolicy, Task, TaskOutcome
 from ..workloads.suite import REGISTRY
+from .checkpoint import GoldenRun, InjectionOutcome
 
 __all__ = ["ValidationResult", "validate_memory_avf"]
 
@@ -75,55 +70,21 @@ class ValidationResult:
         return float(np.sqrt(p * (1 - p) / n)) if n else 0.0
 
 
-def _snapshot(mem, outputs) -> bytes:
-    return b"".join(
-        mem.data[b : b + sz].tobytes()
-        for b, sz in (mem.buffer(n) for n in outputs)
-    )
-
-
-class _MemRunner:
-    """Executes one benchmark repeatedly with a single memory bit flip."""
+class _MemRunner(GoldenRun):
+    """Injections of a single memory bit flip into one benchmark."""
 
     def __init__(
         self, benchmark: str, seed: int, n_cus: int,
         max_cycles: int = _DEFAULT_MAX_CYCLES,
     ) -> None:
-        self.cls = REGISTRY[benchmark]
-        self.seed = seed
-        self.n_cus = n_cus
-        self.max_cycles = max_cycles
-        self.golden_run = run_workload(self.cls(seed=seed), n_cus=n_cus)
-        self.golden = _snapshot(self.golden_run.memory, self.cls.outputs)
+        super().__init__(REGISTRY[benchmark], seed, n_cus, max_cycles)
 
     def inject(self, point: Tuple[int, int, int]) -> str:
-        from ..arch.gpu import Apu
-        from ..arch.memory import GlobalMemory
-        from .campaign import InjectionOutcome
-
         addr, bit, cycle = point
-        wl = self.cls(seed=self.seed)
-        mem = GlobalMemory()
-        wl.setup(mem)
-        apu = Apu(n_cus=self.n_cus, memory=mem, max_cycles=self.max_cycles)
-        apu.inject_memory_fault(addr, 1 << bit, cycle)
-        try:
-            wl.launch(apu)
-            apu.finish()
-            # Late injections (after the last instruction) still corrupt
-            # output buffers the host reads; apply any stragglers.
-            apu._apply_mem_injections()
-        except Exception as exc:
-            outcome = classify_exception(exc)
-            if outcome == TaskOutcome.SIM_HANG:
-                return InjectionOutcome.HANG
-            if outcome == TaskOutcome.SIM_CRASH:
-                return InjectionOutcome.CRASH
-            raise
-        got = _snapshot(mem, self.cls.outputs)
-        return (
-            InjectionOutcome.MASKED if got == self.golden
-            else InjectionOutcome.SDC
+        return self.inject_at(
+            cycle,
+            lambda apu: apu.inject_memory_fault(addr, 1 << bit, cycle),
+            addr=addr, bit=bit,
         )
 
 
@@ -169,8 +130,6 @@ def validate_memory_avf(
     """
     if benchmark not in REGISTRY:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    from .campaign import InjectionOutcome
-
     runner = _MemRunner(benchmark, seed, n_cus, max_cycles=max_cycles)
     golden_run = runner.golden_run
     if region is None:

@@ -112,6 +112,24 @@ def test_clip_matches_reference(iset, lo, span, cutoff):
     assert as_tuples(got) == as_tuples(ref.clip_ref(iset, lo, lo + span))
 
 
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+@pytest.mark.parametrize("window", [
+    (1, 1), (3, 3), (7, 7),              # empty, inside an interval
+    (0, 0), (2, 2), (5, 5), (9, 9),      # empty, on edges / in a gap
+    (1, 0), (8, 7), (3, 1), (10, 0),     # inverted
+])
+def test_clip_empty_or_inverted_window_is_empty(window, cutoff):
+    """Regression: the numpy path returned a zero-length interval for
+    ``[(0, 2, 1)].clip(1, 1)`` where the reference returns nothing."""
+    for iset in (
+        IntervalSet([(0, 2, 1)]),
+        IntervalSet([(0, 2, 1), (2, 4, 2), (6, 9, 3)]),
+    ):
+        with kernel_cutoff(cutoff):
+            got = iset.clip(*window)
+        assert as_tuples(got) == as_tuples(ref.clip_ref(iset, *window)) == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(iset=interval_sets(), mapping=st.lists(st.integers(0, 3), min_size=4, max_size=4))
 @pytest.mark.parametrize("cutoff", CUTOFFS)
