@@ -18,6 +18,10 @@ noisy CI container, so the guard measures it analytically instead:
 
 and assert ``2 * N * c < 2% * T`` (the factor of two covers untracked
 trimmings such as ``span.set`` and ``if registry:`` truthiness checks).
+
+Every run — counted or timed — gets a fresh layout and fresh lifetimes,
+so ``N`` and ``T`` describe the same cold engine run rather than a memo
+lookup.
 """
 
 import time
@@ -26,6 +30,8 @@ import pytest
 
 from repro import obs
 from repro.core import AvfStudy, FaultMode, Interleaving, Parity, compute_mb_avf
+from repro.core.avf import StructureLifetimes
+from repro.core.intervals import IntervalSet
 from repro.core.layout import build_cache_array
 from repro.experiments import scaled_apu_kwargs
 from repro.obs import MetricsRegistry, Tracer
@@ -70,16 +76,24 @@ class CountingTracer(Tracer):
 
 @pytest.fixture(scope="module")
 def prepared():
-    """The engine workload of ``test_perf_engine.py``."""
+    """Inputs of the engine workload of ``test_perf_engine.py``: each call
+    returns a fresh layout and fresh lifetimes, so the engine runs cold."""
     result = run("minife", apu_kwargs=scaled_apu_kwargs())
     study = AvfStudy(result.apu, result.output_ranges)
     lifetimes = study.l1_lifetimes()[0]
     cfg = result.apu.memsys.l1s[0].config
-    layout = build_cache_array(
-        cfg.n_sets, cfg.n_ways, cfg.line_bytes,
-        style=Interleaving.WAY_PHYSICAL, factor=2,
-    )
-    return layout, lifetimes
+
+    def fresh():
+        layout = build_cache_array(
+            cfg.n_sets, cfg.n_ways, cfg.line_bytes,
+            style=Interleaving.WAY_PHYSICAL, factor=2,
+        )
+        isets = [IntervalSet._from_arrays(*s._arrays()) for s in lifetimes.byte_isets]
+        return layout, StructureLifetimes(
+            lifetimes.name, isets, lifetimes.start_cycle, lifetimes.end_cycle
+        )
+
+    return fresh
 
 
 def _null_op_costs():
@@ -100,18 +114,24 @@ def _null_op_costs():
 
 @pytest.mark.benchmark(group="perf")
 def test_disabled_obs_overhead_below_2pct(prepared, report):
-    layout, lifetimes = prepared
+    fresh = prepared
 
-    def workload():
+    def workload(layout, lifetimes):
         return compute_mb_avf(
             layout, lifetimes, FaultMode.linear(2), Parity()
         )
+
+    def timed():
+        inputs = fresh()
+        t0 = time.perf_counter()
+        workload(*inputs)
+        return time.perf_counter() - t0
 
     # 1. How many instrumentation call sites does one run hit?
     creg, ctracer = CountingRegistry(), CountingTracer()
     obs.install(creg, ctracer)
     try:
-        workload()
+        workload(*fresh())
     finally:
         obs.disable()
     n_metric, n_span = creg.ops, ctracer.ops
@@ -121,12 +141,7 @@ def test_disabled_obs_overhead_below_2pct(prepared, report):
     c_metric, c_span = _null_op_costs()
 
     # 3. What does the workload itself cost with observability off?
-    t_work = min(
-        (lambda t0: (workload(), time.perf_counter() - t0)[1])(
-            time.perf_counter()
-        )
-        for _ in range(5)
-    )
+    t_work = min(timed() for _ in range(5))
 
     budget = 2.0 * (n_metric * c_metric + n_span * c_span)
     ratio = budget / t_work

@@ -66,7 +66,7 @@ class SramArray:
     interleave_factor: int
     style: Interleaving
     #: AVF-engine enumeration memo, keyed (mode, canonical lifetime ids);
-    #: populated lazily by core.avf._signatures_for
+    #: populated lazily by core.avf._groups_for
     _sig_memo: Optional[Dict[Any, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )

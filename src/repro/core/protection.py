@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Dict, Tuple
 
-from .intervals import AceClass, IntervalSet, Outcome
+from .intervals import IntervalSet, Outcome
 
 __all__ = [
     "Reaction",
@@ -41,6 +41,7 @@ __all__ = [
     "DecTed",
     "Crc",
     "classify_region",
+    "region_outcomes",
     "SCHEMES",
 ]
 
@@ -218,6 +219,31 @@ SCHEMES: Dict[str, ProtectionScheme] = {
 }
 
 
+#: Outcome per region :class:`AceClass` (UNACE, READ_DEAD, ACE) for each
+#: reaction — the table in the module docstring.  Every row is
+#: non-decreasing in AceClass and no row mixes DUE with SDC outcomes; the
+#: engine's single-sweep classification relies on both.
+_U, _F, _T, _S = Outcome.UNACE, Outcome.FALSE_DUE, Outcome.TRUE_DUE, Outcome.SDC
+_REACTION_OUTCOMES: Dict[Reaction, Tuple[Outcome, Outcome, Outcome]] = {
+    Reaction.NO_FAULT: (_U, _U, _U),
+    Reaction.CORRECTED: (_U, _U, _U),
+    Reaction.DETECTED: (_U, _F, _T),
+    Reaction.UNDETECTED: (_U, _U, _S),
+    Reaction.MISCORRECTED: (_U, _U, _S),
+}
+#: the MISCORRECTED row under ``miscorrect_corrupts=True``
+_MISCORRECT_CORRUPTS = (_U, _S, _S)
+
+
+def region_outcomes(
+    reaction: Reaction, *, miscorrect_corrupts: bool = False
+) -> Tuple[Outcome, Outcome, Outcome]:
+    """Outcome of a region with ``reaction``, indexed by its AceClass."""
+    if miscorrect_corrupts and reaction is Reaction.MISCORRECTED:
+        return _MISCORRECT_CORRUPTS
+    return _REACTION_OUTCOMES[reaction]
+
+
 def classify_region(
     reaction: Reaction,
     ace: IntervalSet,
@@ -231,21 +257,7 @@ def classify_region(
     regions raise true DUEs on ACE time and false DUEs on read-dead time;
     undetected regions turn ACE time into SDC and mask everything else.
     """
-    if reaction in (Reaction.NO_FAULT, Reaction.CORRECTED):
+    row = region_outcomes(reaction, miscorrect_corrupts=miscorrect_corrupts)
+    if not any(row):
         return IntervalSet()
-    if reaction is Reaction.DETECTED:
-        table = {
-            int(AceClass.ACE): int(Outcome.TRUE_DUE),
-            int(AceClass.READ_DEAD): int(Outcome.FALSE_DUE),
-        }
-    elif reaction is Reaction.MISCORRECTED and miscorrect_corrupts:
-        table = {
-            int(AceClass.ACE): int(Outcome.SDC),
-            int(AceClass.READ_DEAD): int(Outcome.SDC),
-        }
-    else:  # UNDETECTED, or MISCORRECTED treated as silent corruption of live data
-        table = {
-            int(AceClass.ACE): int(Outcome.SDC),
-            int(AceClass.READ_DEAD): 0,
-        }
-    return ace.map_class(lambda c: table.get(c, 0))
+    return ace.map_class(lambda c: int(row[c]) if c < len(row) else 0)

@@ -12,6 +12,7 @@ from repro.core.protection import (
     Reaction,
     SecDed,
     classify_region,
+    region_outcomes,
 )
 
 
@@ -129,3 +130,24 @@ class TestClassifyRegion:
 
     def test_empty_region(self):
         assert not classify_region(Reaction.DETECTED, IntervalSet())
+
+
+@pytest.mark.parametrize("miscorrect", [False, True])
+@pytest.mark.parametrize("reaction", list(Reaction), ids=lambda r: r.value)
+def test_reaction_table_is_monotone_in_ace_class(reaction, miscorrect):
+    """The engine maps member classes before taking a region's max, which
+    equals classify_region only if every row is non-decreasing; its
+    preempt rule reads DUE coverage, so no row may mix DUE with SDC."""
+    row = region_outcomes(reaction, miscorrect_corrupts=miscorrect)
+    assert len(row) == len(AceClass)
+    assert row[AceClass.UNACE] == Outcome.UNACE
+    assert list(row) == sorted(row)
+    due = {Outcome.FALSE_DUE, Outcome.TRUE_DUE}
+    assert not (due & set(row) and Outcome.SDC in row)
+    # classify_region reads the same table.
+    for cls in (AceClass.READ_DEAD, AceClass.ACE):
+        ace = IntervalSet([(0, 10, int(cls))])
+        out = classify_region(reaction, ace, miscorrect_corrupts=miscorrect)
+        assert out.intervals() == (
+            [(0, 10, int(row[cls]))] if row[cls] else []
+        )

@@ -33,7 +33,9 @@ from repro.core.avf import (
 )
 from repro.core.faultmodes import FaultMode
 from repro.core.intervals import (
+    AceClass,
     IntervalSet,
+    Outcome,
     intersection_duration,
     sweep_max,
 )
@@ -208,7 +210,9 @@ def _random_lifetimes(rng, n_bytes, end_cycle=120, share=0.3):
             d = int(rng.integers(1, 20))
             if t + d >= end_cycle:
                 break
-            s.append(t, t + d, int(rng.integers(1, 4)))
+            # AceClass labels only (READ_DEAD, ACE): the engine rejects
+            # anything else.
+            s.append(t, t + d, int(rng.integers(1, 3)))
             t += d
         pool.append(s)
     isets = [
@@ -229,6 +233,21 @@ MODES = [
 ]
 
 
+def _signatures_from_keys(keys, counts, k):
+    """Fold engine key rows into the reference's signature multiset."""
+    sigs = {}
+    for key, n in zip(keys.tolist(), counts.tolist()):
+        regions = {}
+        for d, iid in zip(key[:k], key[k:]):
+            ent = regions.setdefault(d, [0, set()])
+            ent[0] += 1
+            if iid:
+                ent[1].add(iid)
+        sig = tuple(sorted((m, frozenset(ids)) for m, ids in regions.values()))
+        sigs[sig] = sigs.get(sig, 0) + n
+    return sigs
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("mode", MODES, ids=[m.name for m in MODES])
 def test_enumerator_matches_reference(seed, mode):
@@ -239,7 +258,12 @@ def test_enumerator_matches_reference(seed, mode):
     )
     lts = _random_lifetimes(rng, array.n_bytes)
     canon = _canonical_iset_ids(lts)
-    got = _enumerate_signatures(array, canon.byte2iid, mode)
+    keys, counts = _enumerate_signatures(array, canon.byte2iid, mode)
+    assert keys.shape == (len(counts), 2 * mode.n_bits)
+    # Key rows are unique, and none is all lifetime-empty.
+    assert len({tuple(r) for r in keys.tolist()}) == len(keys)
+    assert (keys[:, mode.n_bits:] != 0).any(axis=1).all()
+    got = _signatures_from_keys(keys, counts, mode.n_bits)
     want = ref.enumerate_signatures_ref(array, canon.byte2iid, mode)
     # The production enumerator drops all-lifetime-empty placements (they
     # classify to nothing); the reference emits their signature.  Outcomes
@@ -251,7 +275,7 @@ def test_enumerator_matches_reference(seed, mode):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("scheme", ["none", "parity", "secded"])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
 @pytest.mark.parametrize("due", [False, True])
 @pytest.mark.parametrize("cutoff", CUTOFFS)
 def test_engine_outcomes_match_reference(seed, scheme, due, cutoff):
@@ -260,20 +284,56 @@ def test_engine_outcomes_match_reference(seed, scheme, due, cutoff):
         4, 2, 16, domain_bytes=4,
         style=Interleaving.NONE, factor=1, name="t",
     )
-    mode = FaultMode.rect(2, 2) if seed else FaultMode.linear(3)
     edges = (0, 30, 60, 90, 120)
     lts = _random_lifetimes(rng, array.n_bytes)
-    with kernel_cutoff(cutoff):
-        res = compute_mb_avf(
-            array, lts, mode, SCHEMES[scheme],
-            due_preempts_sdc=due, series_edges=edges,
+    modes = [FaultMode.rect(2, 2) if seed else FaultMode.linear(3)]
+    modes.append(FaultMode.linear(8))
+    for mode in modes:
+        for miscorrect in (False, True):
+            with kernel_cutoff(cutoff):
+                res = compute_mb_avf(
+                    array, lts, mode, SCHEMES[scheme],
+                    due_preempts_sdc=due, miscorrect_corrupts=miscorrect,
+                    series_edges=edges,
+                )
+            want_cycles, want_series = ref.compute_outcome_cycles_ref(
+                array, lts, mode, SCHEMES[scheme],
+                due_preempts_sdc=due, miscorrect_corrupts=miscorrect,
+                series_edges=edges,
+            )
+            assert res.outcome_cycles == want_cycles
+            np.testing.assert_array_equal(res.series, want_series)
+
+
+def test_non_ace_class_lifetime_is_rejected():
+    array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")
+    isets = [IntervalSet() for _ in range(array.n_bytes)]
+    isets[5] = IntervalSet([(10, 20, int(AceClass.ACE)), (30, 40, 3)])
+    lts = StructureLifetimes("t", isets, 0, 120)
+    with pytest.raises(ValueError, match="class 3"):
+        compute_mb_avf(array, lts, FaultMode.linear(2), SCHEMES["parity"])
+
+
+def test_returned_results_are_fresh():
+    rng = np.random.default_rng(4)
+    array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")
+    lts = _random_lifetimes(rng, array.n_bytes)
+
+    def call():
+        return compute_mb_avf(
+            array, lts, FaultMode.linear(3), SCHEMES["parity"],
+            series_edges=(0, 40, 80, 120),
         )
-    want_cycles, want_series = ref.compute_outcome_cycles_ref(
-        array, lts, mode, SCHEMES[scheme],
-        due_preempts_sdc=due, series_edges=edges,
-    )
-    assert res.outcome_cycles == want_cycles
-    np.testing.assert_array_equal(res.series, want_series)
+
+    first = call()
+    cycles = dict(first.outcome_cycles)
+    series = first.series.copy()
+    assert any(cycles.values())
+    first.outcome_cycles[Outcome.SDC] += 1e6
+    first.series += 1.0
+    second = call()
+    assert second.outcome_cycles == cycles
+    np.testing.assert_array_equal(second.series, series)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -326,9 +386,10 @@ def test_batch_reuses_caches(monkeypatch):
         obs.get_metrics().reset()
         compute_mb_avf_batch(array, lts, configs)
         snap = obs.get_metrics().snapshot()
-        # config 2 re-enumerates nothing and re-classifies nothing: the
-        # memoized enumeration and the combined-outcome cache both hit.
-        assert snap["counters"]["avf.batch_cache_hits"] > 0
+        # config 2 re-enumerates nothing and config 3 re-classifies
+        # nothing: the enumeration memo and the result memo both hit.
+        assert snap["counters"]["avf.batch_cache_hits"] == 3
+        assert snap["counters"]["avf.batch_cache_misses"] == 4
         assert snap["counters"]["avf.computations"] == 3
     finally:
         obs.disable()
