@@ -7,6 +7,10 @@ rounds, so regressions in the deduplicating group enumerator or the
 interval sweeps show up in CI.
 """
 
+import pathlib
+import sys
+import time
+
 import pytest
 
 from repro.core import (
@@ -22,6 +26,10 @@ from repro.core.intervals import IntervalSet
 from repro.core.layout import build_cache_array
 from repro.experiments import scaled_apu_kwargs
 from repro.workloads import run
+
+# The per-bit layout oracle lives with the tests it backs.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from tests.core import layout_oracle  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +140,46 @@ def test_perf_vgpr_stack(benchmark, prepared):
         ),
         setup=setup, rounds=3, iterations=1,
     )
+
+
+#: The scaled L2 layouts of the cache sweeps: none, way x4, logical x2.
+L2_LAYOUTS = [
+    (Interleaving.NONE, 1),
+    (Interleaving.WAY_PHYSICAL, 4),
+    (Interleaving.LOGICAL, 2),
+]
+
+
+def _build_l2_layouts(build):
+    cfg = scaled_apu_kwargs()["l2_config"]
+    return [
+        build(cfg.n_sets, cfg.n_ways, cfg.line_bytes, style=style, factor=factor)
+        for style, factor in L2_LAYOUTS
+    ]
+
+
+def _min_seconds(fn, rounds):
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.benchmark(group="perf")
+def test_perf_layout_build(benchmark):
+    """Cold scaled-L2 layout builds, gated on a same-run ratio.
+
+    Layouts are never cached across studies, so every round builds all
+    three from scratch.  The gate compares the broadcast builders with
+    the per-bit oracle in this process, which holds on any machine.
+    """
+    benchmark.pedantic(
+        _build_l2_layouts, args=(build_cache_array,), rounds=5, iterations=1
+    )
+    fast = _min_seconds(lambda: _build_l2_layouts(build_cache_array), 5)
+    slow = _min_seconds(
+        lambda: _build_l2_layouts(layout_oracle.build_cache_array), 2
+    )
+    assert slow / fast >= 5.0, f"broadcast {fast:.4f}s vs per-bit {slow:.4f}s"

@@ -15,10 +15,11 @@ paper's infrastructure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..arch.cache import CacheConfig
 from ..arch.gpu import Apu
 from ..arch.liveness import analyze_liveness
 from ..obs import get_tracer
@@ -49,6 +50,29 @@ from .lifetime import (
 from .protection import ProtectionScheme
 
 __all__ = ["AvfStudy"]
+
+
+def _traced_layout(build: Callable[[], SramArray]) -> SramArray:
+    """``build()`` under a ``layout`` span describing the built layout."""
+    with get_tracer().span("layout") as span:
+        layout = build()
+        span.set(
+            structure=layout.name, style=layout.style.value,
+            factor=layout.interleave_factor,
+        )
+    return layout
+
+
+def _merged_batch(
+    layout: SramArray,
+    lts: Sequence[StructureLifetimes],
+    configs: Sequence[AvfConfig],
+) -> List[MbAvfResult]:
+    """One batch per replicated structure, merged config by config."""
+    per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in lts]
+    return [
+        merge_results([res[i] for res in per_lt]) for i in range(len(configs))
+    ]
 
 
 class AvfStudy:
@@ -152,30 +176,31 @@ class AvfStudy:
                 ]
         return self._vgpr_lifetimes
 
+    def _cache_lifetimes(self, level: str) -> List[StructureLifetimes]:
+        """Per-CU L1 lifetimes, or the L2's as a one-element list."""
+        if level == "l1":
+            return self.l1_lifetimes()
+        if level == "l2":
+            return [self.l2_lifetime()]
+        raise ValueError("level must be 'l1' or 'l2'")
+
     # -- layouts --------------------------------------------------------------
+
+    def _cache_config(self, level: str) -> CacheConfig:
+        memsys = self.apu.memsys
+        return memsys.l1s[0].config if level == "l1" else memsys.l2.config
 
     def _cache_layout(
         self, level: str, style: Interleaving, factor: int, domain_bytes: int
     ) -> SramArray:
         key = (level, style, factor, domain_bytes)
         if key not in self._layout_cache:
-            cfg = (
-                self.apu.memsys.l1s[0].config
-                if level == "l1" else self.apu.memsys.l2.config
-            )
-            self._layout_cache[key] = build_cache_array(
+            cfg = self._cache_config(level)
+            self._layout_cache[key] = _traced_layout(lambda: build_cache_array(
                 cfg.n_sets, cfg.n_ways, cfg.line_bytes,
                 domain_bytes=domain_bytes, style=style, factor=factor,
                 name=level,
-            )
-        return self._layout_cache[key]
-
-    def _vgpr_layout(self, style: Interleaving, factor: int) -> SramArray:
-        key = ("vgpr", style, factor)
-        if key not in self._layout_cache:
-            self._layout_cache[key] = build_regfile_array(
-                16, self.vgpr_regs, style=style, factor=factor, name="vgpr"
-            )
+            ))
         return self._layout_cache[key]
 
     # -- AVF measurements -------------------------------------------------------
@@ -194,18 +219,9 @@ class AvfStudy:
         All configs share one enumeration/classification cache per CU; the
         per-CU results of each config are merged as in :meth:`cache_avf`.
         """
+        lts = self._cache_lifetimes(level)
         layout = self._cache_layout(level, style, factor, domain_bytes)
-        if level == "l1":
-            lts = self.l1_lifetimes()
-        elif level == "l2":
-            lts = [self.l2_lifetime()]
-        else:
-            raise ValueError("level must be 'l1' or 'l2'")
-        per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in lts]
-        return [
-            merge_results([res[i] for res in per_lt])
-            for i in range(len(configs))
-        ]
+        return _merged_batch(layout, lts, configs)
 
     def cache_avf(
         self,
@@ -274,28 +290,21 @@ class AvfStudy:
     ) -> Tuple[SramArray, StructureLifetimes]:
         """All wavefronts' register files stacked into one structure.
 
-        Interleaving stays wavefront-internal (rows never mix wavefronts);
-        stacking just lets one engine invocation cover the whole register
-        file, with byte/domain ids offset per wavefront.
+        Wavefront ``k``'s 16 threads are threads ``16k .. 16k+15`` of one
+        register file.  The interleave factor divides 16, so interleaving
+        stays wavefront-internal (rows never mix wavefronts); stacking just
+        lets one engine invocation cover the whole register file.
         """
         key = ("vgpr-stack", style, factor)
         if key not in self._layout_cache:
-            base = self._vgpr_layout(style, factor)
+            if style is Interleaving.INTER_THREAD and 16 % factor:
+                raise ValueError("inter-thread factor must divide thread count")
             lts = self.vgpr_lifetimes()
-            n = len(lts)
-            byte_of = np.vstack(
-                [base.byte_of + np.int32(k * base.n_bytes) for k in range(n)]
-            )
-            domain_of = np.vstack(
-                [base.domain_of + np.int32(k * base.n_domains) for k in range(n)]
-            )
-            stacked = SramArray(
-                "vgpr", byte_of, domain_of, base.domain_bytes,
-                base.interleave_factor, base.style,
-            )
-            isets: List = []
-            for lt in lts:
-                isets.extend(lt.byte_isets)
+            stacked = _traced_layout(lambda: build_regfile_array(
+                16 * len(lts), self.vgpr_regs, style=style, factor=factor,
+                name="vgpr",
+            ))
+            isets = [iset for lt in lts for iset in lt.byte_isets]
             lifetimes = StructureLifetimes("vgpr", isets, 0, self.end_cycle)
             self._layout_cache[key] = (stacked, lifetimes)
         return self._layout_cache[key]
@@ -312,19 +321,10 @@ class AvfStudy:
         the engine's per-lifetimes canonical-id and region caches."""
         key = ("tag-lts", level, tag_bytes)
         if key not in self._layout_cache:
-            cfg = (
-                self.apu.memsys.l1s[0].config
-                if level == "l1" else self.apu.memsys.l2.config
-            )
-            if level == "l1":
-                data_lts = self.l1_lifetimes()
-            elif level == "l2":
-                data_lts = [self.l2_lifetime()]
-            else:
-                raise ValueError("level must be 'l1' or 'l2'")
+            line_bytes = self._cache_config(level).line_bytes
             self._layout_cache[key] = [
-                derive_tag_lifetimes(lt, cfg.line_bytes, tag_bytes=tag_bytes)
-                for lt in data_lts
+                derive_tag_lifetimes(lt, line_bytes, tag_bytes=tag_bytes)
+                for lt in self._cache_lifetimes(level)
             ]
         return self._layout_cache[key]
 
@@ -337,23 +337,15 @@ class AvfStudy:
         tag_bytes: int = 3,
     ) -> List[MbAvfResult]:
         """MB-AVFs of a cache's tag array for many configs in one pass."""
-        cfg = (
-            self.apu.memsys.l1s[0].config
-            if level == "l1" else self.apu.memsys.l2.config
-        )
+        tag_lts = self._tag_lifetimes(level, tag_bytes)
         key = ("tags", level, factor, tag_bytes)
         if key not in self._layout_cache:
-            self._layout_cache[key] = build_tag_array(
+            cfg = self._cache_config(level)
+            self._layout_cache[key] = _traced_layout(lambda: build_tag_array(
                 cfg.n_sets, cfg.n_ways, tag_bytes=tag_bytes, factor=factor,
                 name=f"{level}.tags",
-            )
-        layout = self._layout_cache[key]
-        tag_lts = self._tag_lifetimes(level, tag_bytes)
-        per_lt = [compute_mb_avf_batch(layout, lt, configs) for lt in tag_lts]
-        return [
-            merge_results([res[i] for res in per_lt])
-            for i in range(len(configs))
-        ]
+            ))
+        return _merged_batch(self._layout_cache[key], tag_lts, configs)
 
     def tag_avf(
         self,
@@ -384,7 +376,7 @@ class AvfStudy:
         factor: int = 1, domain_bytes: int = 4,
     ) -> float:
         """ACE locality of a cache under a given physical layout."""
+        lts = self._cache_lifetimes(level)
         layout = self._cache_layout(level, style, factor, domain_bytes)
-        lts = self.l1_lifetimes() if level == "l1" else [self.l2_lifetime()]
         vals = [ace_locality(layout, lt) for lt in lts]
         return float(np.mean(vals))

@@ -17,8 +17,9 @@ Groups whose classification is identical — same domain-equality pattern
 and same member lifetimes — are deduplicated, which makes the enumeration
 of the ~1e5 groups of a real cache array cheap.  Enumeration is fully
 vectorized: every mode geometry (contiguous Mx1 wordline faults and 2-D
-``HxW`` rectangles alike) gathers the key of each placement that holds a
-live lifetime and buckets the keys with a single lexsort.  Classification
+``HxW`` rectangles alike) gathers the keys of the live placements in each
+distinct block of ``H`` layout rows, weights them by the block's copies
+and buckets them with a single lexsort.  Classification
 and integration are one array sweep per config over all deduplicated key
 rows at once (see :func:`_classify`).
 
@@ -32,7 +33,8 @@ they can be shared:
   unique lifetimes, are computed once per :class:`StructureLifetimes` and
   cached on it,
 * deduplicated fault-group key rows are memoized per
-  ``(array, mode, lifetimes)`` on the array,
+  ``(array, mode, lifetimes)`` on the array, beside one table of layout
+  row ids per ``(array, lifetimes)`` that every mode shares,
 * each config's outcome totals and series are memoized beside its key
   rows, keyed by the frozen :class:`AvfConfig`; every call still returns
   fresh ``outcome_cycles`` and ``series`` objects.
@@ -274,8 +276,13 @@ def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
     return canon
 
 
-def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(unique rows, counts) via lexsort — much faster than unique(axis=0)."""
+def _unique_rows(
+    a: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(unique rows, counts) via lexsort — much faster than unique(axis=0).
+
+    A row's count is its number of copies, or the sum of their ``weights``.
+    """
     if not len(a):
         return a[:0], np.zeros(0, dtype=np.int64)
     order = np.lexsort(a.T[::-1])
@@ -283,14 +290,37 @@ def _unique_rows(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     change = np.empty(len(b), dtype=bool)
     change[0] = True
     np.any(b[1:] != b[:-1], axis=1, out=change[1:])
-    starts = np.where(change)[0]
-    counts = np.diff(np.append(starts, len(b)))
-    return b[starts], counts
+    starts = np.flatnonzero(change)
+    w = np.ones(len(b), dtype=np.int64) if weights is None else weights[order]
+    return b[starts], np.add.reduceat(w, starts)
+
+
+def _row_ids(a: np.ndarray) -> np.ndarray:
+    """Ids of the rows of 2-D ``a``, equal rows alike (exact, by bytes)."""
+    seen: Dict[bytes, int] = {}
+    ids = [seen.setdefault(row.tobytes(), len(seen)) for row in a]
+    return np.array(ids, dtype=np.int64)
+
+
+#: (row id, row holds a lifetime) per layout row; see :func:`_row_table`.
+_RowTable = Tuple[np.ndarray, np.ndarray]
+
+
+def _row_table(array: SramArray, canon: _CanonicalIds) -> _RowTable:
+    """Ids and liveness of the rows of the lifetime plane, shared by modes.
+
+    Rows share an id when their ``(domain_of - the row's first domain,
+    lifetime id)`` contents are equal.
+    """
+    dom = array.domain_of
+    iid_of = canon.byte2iid[array.byte_of]
+    content = np.concatenate([dom - dom[:, :1], iid_of], axis=1)
+    return _row_ids(content), (iid_of != 0).any(axis=1)
 
 
 def _enumerate_signatures(
-    array: SramArray, byte2iid: np.ndarray, mode: FaultMode
-) -> Tuple[np.ndarray, np.ndarray]:
+    array: SramArray, canon: _CanonicalIds, table: _RowTable, mode: FaultMode
+) -> Tuple[np.ndarray, np.ndarray, int, int]:
     """Deduplicated fault-group keys of ``mode`` and their group counts.
 
     Every placement of the mode's ``HxW`` bounding box is keyed by the
@@ -301,21 +331,40 @@ def _enumerate_signatures(
     them.  Placements whose members are all lifetime-empty classify to
     nothing and are never gathered (they still count in the denominator
     via ``n_groups``).
+
+    Placements starting in equal blocks of ``H`` rows have equal keys.
+    Blocks compare as ``2H - 1`` ids, their rows' ``table`` ids
+    (:func:`_row_table`) and the spacing of their rows' first domains;
+    keys are gathered in one copy of each distinct live block, weighted
+    by its copies.  Also returns the numbers of live and distinct blocks.
     """
-    h, w = mode.height, mode.width
-    k = mode.n_bits
-    if h > array.rows or w > array.cols:
-        return np.empty((0, 2 * k), dtype=np.int32), np.zeros(0, dtype=np.int64)
-    cols = array.cols
-    iid_of = byte2iid[array.byte_of]
+    h, w, k, cols = mode.height, mode.width, mode.n_bits, array.cols
     nr, nc = array.rows - h + 1, cols - w + 1
-    live = iid_of != 0
-    active = np.zeros((nr, nc), dtype=bool)
+    if nr < 1 or nc < 1:  # a mode larger than the array has no placements
+        nr = nc = 0
+    row_id, row_live = table
+    dom0 = array.domain_of[:, 0]
+    blocks = np.empty((nr, 2 * h - 1), dtype=np.int64)
+    live_block = np.zeros(nr, dtype=bool)
+    for j in range(h):
+        blocks[:, j] = row_id[j:j + nr]
+        live_block |= row_live[j:j + nr]
+    for j in range(1, h):
+        blocks[:, h - 1 + j] = dom0[j:j + nr] - dom0[:nr]
+    live_starts = np.flatnonzero(live_block)
+    _, seen_at, copies = np.unique(
+        _row_ids(blocks[live_starts]), return_index=True, return_counts=True
+    )
+    starts = live_starts[seen_at]
+    # Bit (dr, c) of distinct block b sits at b * h * cols + dr * cols + c.
+    rows = starts[:, None] + np.arange(h, dtype=np.int64)
+    dom_flat = array.domain_of[rows].ravel()
+    iid_of = canon.byte2iid[array.byte_of[rows]]
+    active = np.zeros((len(starts), nc), dtype=bool)
     for dr, dc in mode.offsets:
-        active |= live[dr:dr + nr, dc:dc + nc]
-    r0, c0 = np.nonzero(active)
-    first = r0 * cols + c0
-    dom_flat = array.domain_of.ravel()
+        active |= iid_of[:, dr, dc:dc + nc] != 0
+    block, c0 = np.nonzero(active)
+    first = block * (h * cols) + c0
     iid_flat = iid_of.ravel()
     keys = np.empty((len(first), 2 * k), dtype=np.int32)
     for p, (dr, dc) in enumerate(mode.offsets):
@@ -324,7 +373,8 @@ def _enumerate_signatures(
         keys[:, k + p] = iid_flat[at]
     keys[:, 1:k] -= keys[:, :1]
     keys[:, 0] = 0
-    return _unique_rows(keys)
+    uniq, counts = _unique_rows(keys, copies[block])
+    return uniq, counts, len(live_starts), len(starts)
 
 
 #: Group-cycles per outcome class and the optional (read-only) series.
@@ -370,8 +420,12 @@ def _groups_for(
     with get_tracer().span(
         "enumerate", structure=lifetimes.name, mode=mode.name
     ) as span:
-        groups = _Groups(*_enumerate_signatures(array, canon.byte2iid, mode))
-        span.set(signatures=len(groups.keys))
+        table = memo.get(canon)
+        if table is None:
+            table = memo[canon] = _row_table(array, canon)
+        keys, counts, blocks, unique = _enumerate_signatures(array, canon, table, mode)
+        groups = _Groups(keys, counts)
+        span.set(signatures=len(keys), blocks=blocks, unique_blocks=unique)
     memo[key] = groups
     return groups
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ class SramArray:
 
     ``byte_of[r, c]`` is the tracked byte id stored at physical bit (r, c);
     ``domain_of[r, c]`` is the protection domain id covering that bit.
+    Both maps are made read-only on construction.
     """
 
     name: str
@@ -65,7 +66,8 @@ class SramArray:
     domain_bytes: int
     interleave_factor: int
     style: Interleaving
-    #: AVF-engine enumeration memo, keyed (mode, canonical lifetime ids);
+    #: AVF-engine enumeration memo, keyed (mode, canonical lifetime ids),
+    #: plus one row table per canonical lifetime ids shared by the modes;
     #: populated lazily by core.avf._groups_for
     _sig_memo: Optional[Dict[Any, Any]] = field(
         default=None, init=False, repr=False, compare=False
@@ -76,6 +78,9 @@ class SramArray:
             raise ValueError("byte_of and domain_of must have the same shape")
         if self.byte_of.ndim != 2:
             raise ValueError("layout maps must be 2-D (rows x cols)")
+        # Frozen maps keep the engine's memo on the array from going stale.
+        self.byte_of.flags.writeable = False
+        self.domain_of.flags.writeable = False
 
     @property
     def rows(self) -> int:
@@ -106,34 +111,25 @@ class SramArray:
 
 def _assemble(
     name: str,
-    rows_of_clusters: Sequence[Sequence[Sequence[int]]],
+    clusters: np.ndarray,
     domain_bytes: int,
     factor: int,
     style: Interleaving,
 ) -> SramArray:
-    """Build an :class:`SramArray` from per-row lists of interleave clusters.
+    """Build an :class:`SramArray` from a ``(rows, clusters, I)`` id array.
 
-    Each cluster is a list of ``I`` domain ids whose bits are bit-interleaved
-    across ``I * domain_bits`` physical columns: physical position ``q``
-    inside the cluster holds bit ``q // I`` of domain ``cluster[q % I]``.
+    ``clusters[r, g]`` lists the ``I`` domain ids whose bits are
+    bit-interleaved across the ``I * domain_bits`` physical columns of
+    cluster ``g`` of row ``r``: position ``q = bit * I + i`` inside the
+    cluster holds bit ``bit`` of domain ``clusters[r, g, i]``.
     """
     domain_bits = domain_bytes * 8
-    width = len(rows_of_clusters[0]) * len(rows_of_clusters[0][0]) * domain_bits
-    byte_of = np.empty((len(rows_of_clusters), width), dtype=np.int32)
-    domain_of = np.empty_like(byte_of)
-    for r, clusters in enumerate(rows_of_clusters):
-        col = 0
-        for cluster in clusters:
-            ilv = len(cluster)
-            for q in range(ilv * domain_bits):
-                dom = cluster[q % ilv]
-                bit = q // ilv
-                domain_of[r, col] = dom
-                byte_of[r, col] = dom * domain_bytes + bit // 8
-                col += 1
-        if col != width:
-            raise ValueError("rows must all have the same physical width")
-    return SramArray(name, byte_of, domain_of, domain_bytes, factor, style)
+    # Axes (row, cluster, bit, i) flatten row-major to column g*I*bits + q.
+    dom = np.repeat(clusters[:, :, None, :], domain_bits, axis=2)
+    byte_in_domain = np.arange(domain_bits, dtype=np.int32)[:, None] // 8
+    byte = (dom * np.int32(domain_bytes) + byte_in_domain).reshape(len(dom), -1)
+    dom = dom.reshape(len(dom), -1)
+    return SramArray(name, byte, dom, domain_bytes, factor, style)
 
 
 def cache_byte_index(
@@ -168,55 +164,33 @@ def build_cache_array(
         raise ValueError("line size must be a multiple of the domain size")
     domains_per_line = line_bytes // domain_bytes
 
-    def line_domain(set_idx: int, way: int, k: int) -> int:
-        return (
-            cache_byte_index(set_idx, way, 0, n_ways, line_bytes) // domain_bytes + k
-        )
-
-    rows: List[List[List[int]]] = []
+    # Domain d of line (set, way) has id (set * n_ways + way) * domains_per_line + d.
+    ids = np.arange(n_sets * n_ways * domains_per_line, dtype=np.int32)
     if style in (Interleaving.NONE, Interleaving.LOGICAL):
         if domains_per_line % factor:
             raise ValueError("logical interleaving factor must divide domains/line")
         # One row per line; clusters of `factor` consecutive domains of the
         # same line are bit-interleaved (= each factor*domain-bit data word is
         # split into `factor` check words).
-        for s in range(n_sets):
-            for w in range(n_ways):
-                rows.append(
-                    [
-                        [line_domain(s, w, g * factor + i) for i in range(factor)]
-                        for g in range(domains_per_line // factor)
-                    ]
-                )
+        clusters = ids.reshape(n_sets * n_ways, domains_per_line // factor, factor)
     elif style is Interleaving.WAY_PHYSICAL:
         if n_ways % factor:
             raise ValueError("way interleaving factor must divide associativity")
         # One row per (set, way-group); cluster k interleaves domain k of the
         # `factor` lines in the group.
-        for s in range(n_sets):
-            for wg in range(n_ways // factor):
-                rows.append(
-                    [
-                        [line_domain(s, wg * factor + i, k) for i in range(factor)]
-                        for k in range(domains_per_line)
-                    ]
-                )
+        clusters = ids.reshape(n_sets, n_ways // factor, factor, domains_per_line)
+        clusters = clusters.transpose(0, 1, 3, 2)
     elif style is Interleaving.INDEX_PHYSICAL:
         if n_sets % factor:
             raise ValueError("index interleaving factor must divide set count")
         # One row per (set-group, way); cluster k interleaves domain k of the
         # lines at `factor` adjacent indices.
-        for sg in range(n_sets // factor):
-            for w in range(n_ways):
-                rows.append(
-                    [
-                        [line_domain(sg * factor + i, w, k) for i in range(factor)]
-                        for k in range(domains_per_line)
-                    ]
-                )
+        clusters = ids.reshape(n_sets // factor, factor, n_ways, domains_per_line)
+        clusters = clusters.transpose(0, 2, 3, 1)
     else:
         raise ValueError(f"{style} is not a cache interleaving style")
-    return _assemble(name, rows, domain_bytes, factor, style)
+    clusters = clusters.reshape(-1, clusters.shape[-2], factor)
+    return _assemble(name, clusters, domain_bytes, factor, style)
 
 
 def build_tag_array(
@@ -237,19 +211,12 @@ def build_tag_array(
     if factor < 1 or n_ways % factor:
         raise ValueError("interleave factor must divide the way count")
 
-    def tag_domain(set_idx: int, way: int) -> int:
-        return set_idx * n_ways + way
-
-    rows: List[List[List[int]]] = []
-    for s in range(n_sets):
-        rows.append(
-            [
-                [tag_domain(s, wg * factor + i) for i in range(factor)]
-                for wg in range(n_ways // factor)
-            ]
-        )
+    # The tag of (set, way) is domain set * n_ways + way.
+    clusters = np.arange(n_sets * n_ways, dtype=np.int32).reshape(
+        n_sets, n_ways // factor, factor
+    )
     style = Interleaving.NONE if factor == 1 else Interleaving.WAY_PHYSICAL
-    return _assemble(name, rows, tag_bytes, factor, style)
+    return _assemble(name, clusters, tag_bytes, factor, style)
 
 
 def regfile_byte_index(thread: int, reg: int, byte: int, n_regs: int, reg_bytes: int = 4) -> int:
@@ -276,32 +243,18 @@ def build_regfile_array(
     if factor < 1:
         raise ValueError("interleave factor must be >= 1")
 
-    def reg_domain(thread: int, reg: int) -> int:
-        return thread * n_regs + reg
-
-    rows: List[List[List[int]]] = []
+    # Register r of thread t is domain t * n_regs + r.
+    ids = np.arange(n_threads * n_regs, dtype=np.int32)
     if style in (Interleaving.NONE, Interleaving.INTRA_THREAD):
         if style is Interleaving.NONE:
             factor = 1
         if n_regs % factor:
             raise ValueError("intra-thread factor must divide register count")
-        for t in range(n_threads):
-            rows.append(
-                [
-                    [reg_domain(t, g * factor + i) for i in range(factor)]
-                    for g in range(n_regs // factor)
-                ]
-            )
+        clusters = ids.reshape(n_threads, n_regs // factor, factor)
     elif style is Interleaving.INTER_THREAD:
         if n_threads % factor:
             raise ValueError("inter-thread factor must divide thread count")
-        for tg in range(n_threads // factor):
-            rows.append(
-                [
-                    [reg_domain(tg * factor + i, r) for i in range(factor)]
-                    for r in range(n_regs)
-                ]
-            )
+        clusters = ids.reshape(n_threads // factor, factor, n_regs).transpose(0, 2, 1)
     else:
         raise ValueError(f"{style} is not a register-file interleaving style")
-    return _assemble(name, rows, reg_bytes, factor, style)
+    return _assemble(name, clusters, reg_bytes, factor, style)

@@ -12,6 +12,7 @@ from repro.core import (
     SecDed,
 )
 from repro.core.intervals import Outcome
+from repro.core.layout import build_regfile_array
 from repro.workloads import run
 
 
@@ -146,3 +147,77 @@ class TestAceLocality:
             "l1", style=Interleaving.WAY_PHYSICAL, factor=2
         )
         assert logical >= way - 1e-9
+
+
+class TestLayoutSpans:
+    def test_layout_and_enumerate_spans(self):
+        from repro import obs
+
+        r = run("vectoradd", n_cus=1)
+        study = AvfStudy(r.apu, r.output_ranges)
+        study.l1_lifetimes()
+        study.vgpr_lifetimes()
+        _, tracer = obs.enable(metrics=False)
+        try:
+            study.cache_avf(
+                "l1", FaultMode.linear(2), Parity(),
+                style=Interleaving.WAY_PHYSICAL, factor=2,
+            )
+            study.vgpr_avf(
+                FaultMode.linear(2), Parity(),
+                style=Interleaving.INTER_THREAD, factor=2,
+            )
+            study.tag_avf("l1", FaultMode.linear(2), Parity(), factor=2)
+            events = list(tracer.events)
+        finally:
+            obs.disable()
+        layouts = [
+            (e.args["structure"], e.args["style"], e.args["factor"])
+            for e in events if e.name == "layout"
+        ]
+        assert layouts == [
+            ("l1", "way", 2),
+            ("vgpr", "inter_thread", 2),
+            ("l1.tags", "way", 2),
+        ]
+        enumerated = [e.args for e in events if e.name == "enumerate"]
+        assert all(a["unique_blocks"] <= a["blocks"] for a in enumerated)
+        assert any(a["unique_blocks"] > 0 for a in enumerated)
+
+
+class TestStackedVgprLayout:
+    @pytest.mark.parametrize(
+        "style,factor",
+        [
+            (Interleaving.NONE, 1),
+            (Interleaving.INTRA_THREAD, 2),
+            (Interleaving.INTER_THREAD, 2),
+            (Interleaving.INTER_THREAD, 4),
+        ],
+    )
+    def test_stack_is_offset_copies_of_one_wavefront(
+        self, matmul_study, style, factor
+    ):
+        stacked, lifetimes = matmul_study._stacked_vgpr(style, factor)
+        base = build_regfile_array(
+            16, matmul_study.vgpr_regs, style=style, factor=factor
+        )
+        n = len(matmul_study.vgpr_lifetimes())
+        assert n > 1
+        np.testing.assert_array_equal(
+            stacked.byte_of,
+            np.vstack([base.byte_of + k * base.n_bytes for k in range(n)]),
+        )
+        np.testing.assert_array_equal(
+            stacked.domain_of,
+            np.vstack([base.domain_of + k * base.n_domains for k in range(n)]),
+        )
+        assert stacked.interleave_factor == base.interleave_factor
+        assert len(lifetimes.byte_isets) == stacked.n_bytes
+
+    def test_inter_thread_factor_must_divide_wavefront(self, matmul_study):
+        with pytest.raises(ValueError, match="divide thread count"):
+            matmul_study.vgpr_avf(
+                FaultMode.linear(2), Parity(),
+                style=Interleaving.INTER_THREAD, factor=3,
+            )

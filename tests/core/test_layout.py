@@ -5,11 +5,15 @@ import pytest
 
 from repro.core.layout import (
     Interleaving,
+    SramArray,
     build_cache_array,
     build_regfile_array,
+    build_tag_array,
     cache_byte_index,
     regfile_byte_index,
 )
+
+from . import layout_oracle as oracle
 
 
 class TestIndexHelpers:
@@ -179,3 +183,119 @@ class TestRegfileLayout:
             build_regfile_array(4, 3, style=Interleaving.INTRA_THREAD, factor=2)
         with pytest.raises(ValueError):
             build_regfile_array(3, 4, style=Interleaving.INTER_THREAD, factor=2)
+
+
+# -- broadcast builders vs the per-bit oracle --------------------------------
+
+
+CACHE_STYLES = [
+    Interleaving.NONE,
+    Interleaving.LOGICAL,
+    Interleaving.WAY_PHYSICAL,
+    Interleaving.INDEX_PHYSICAL,
+]
+#: (n_sets, n_ways, line_bytes): square, tall, wide and direct-mapped.
+CACHE_GEOMETRIES = [(4, 4, 64), (8, 2, 32), (2, 8, 128), (16, 1, 16)]
+
+
+def _built(build, *args, **kwargs):
+    """The builder's SramArray, or the ValueError message it raised."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_same_layout(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for attr in ("byte_of", "domain_of"):
+        a = getattr(got, attr)
+        assert a.dtype == np.int32
+        assert a.flags.c_contiguous
+        np.testing.assert_array_equal(a, getattr(want, attr))
+    assert (got.name, got.domain_bytes, got.interleave_factor, got.style) == (
+        want.name, want.domain_bytes, want.interleave_factor, want.style,
+    )
+
+
+class TestBroadcastMatchesOracle:
+    @pytest.mark.parametrize("geometry", CACHE_GEOMETRIES)
+    @pytest.mark.parametrize("domain_bytes", [2, 4, 8])
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    @pytest.mark.parametrize("style", CACHE_STYLES, ids=lambda s: s.value)
+    def test_cache(self, style, factor, domain_bytes, geometry):
+        args = geometry
+        kwargs = dict(domain_bytes=domain_bytes, style=style, factor=factor, name="c")
+        assert_same_layout(
+            _built(build_cache_array, *args, **kwargs),
+            _built(oracle.build_cache_array, *args, **kwargs),
+        )
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [
+            ((4, 2, 64), dict(style=Interleaving.WAY_PHYSICAL, factor=3)),
+            ((3, 2, 64), dict(style=Interleaving.INDEX_PHYSICAL, factor=2)),
+            ((4, 2, 64), dict(factor=0)),
+            ((4, 2, 62), dict(domain_bytes=4)),
+            ((4, 2, 64), dict(style=Interleaving.INTER_THREAD, factor=2)),
+            ((4, 2, 16), dict(style=Interleaving.LOGICAL, factor=8)),
+        ],
+    )
+    def test_cache_errors(self, args, kwargs):
+        with pytest.raises(ValueError) as want:
+            oracle.build_cache_array(*args, **kwargs)
+        with pytest.raises(ValueError) as got:
+            build_cache_array(*args, **kwargs)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n_sets,n_ways", [(8, 4), (4, 8), (16, 1)])
+    @pytest.mark.parametrize("tag_bytes", [2, 3, 4])
+    @pytest.mark.parametrize("factor", [0, 1, 2, 4, 3])
+    def test_tags(self, factor, tag_bytes, n_sets, n_ways):
+        kwargs = dict(tag_bytes=tag_bytes, factor=factor, name="t")
+        assert_same_layout(
+            _built(build_tag_array, n_sets, n_ways, **kwargs),
+            _built(oracle.build_tag_array, n_sets, n_ways, **kwargs),
+        )
+
+    @pytest.mark.parametrize("n_threads,n_regs", [(16, 8), (4, 16), (8, 4)])
+    @pytest.mark.parametrize("reg_bytes", [2, 4, 8])
+    @pytest.mark.parametrize("factor", [0, 1, 2, 4, 3])
+    @pytest.mark.parametrize(
+        "style",
+        [
+            Interleaving.NONE,
+            Interleaving.INTRA_THREAD,
+            Interleaving.INTER_THREAD,
+            Interleaving.WAY_PHYSICAL,
+        ],
+        ids=lambda s: s.value,
+    )
+    def test_regfile(self, style, factor, reg_bytes, n_threads, n_regs):
+        kwargs = dict(reg_bytes=reg_bytes, style=style, factor=factor, name="v")
+        assert_same_layout(
+            _built(build_regfile_array, n_threads, n_regs, **kwargs),
+            _built(oracle.build_regfile_array, n_threads, n_regs, **kwargs),
+        )
+
+
+class TestReadOnlyMaps:
+    def test_built_maps_reject_writes(self):
+        arr = build_cache_array(4, 2, 64, style=Interleaving.WAY_PHYSICAL, factor=2)
+        with pytest.raises(ValueError, match="read-only"):
+            arr.byte_of[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            arr.domain_of[:, 0] += 1
+
+    def test_constructor_freezes_given_maps(self):
+        domain_of = np.array([[c // 8 for c in range(16)]], dtype=np.int32)
+        byte_of = domain_of.copy()
+        arr = SramArray("toy", byte_of, domain_of, 1, 1, Interleaving.NONE)
+        with pytest.raises(ValueError, match="read-only"):
+            byte_of[0, 3] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            arr.domain_of.fill(0)

@@ -26,6 +26,7 @@ from repro.core.avf import (
     StructureLifetimes,
     _canonical_iset_ids,
     _enumerate_signatures,
+    _row_table,
     _unique_rows,
     ace_locality,
     compute_mb_avf,
@@ -39,7 +40,7 @@ from repro.core.intervals import (
     intersection_duration,
     sweep_max,
 )
-from repro.core.layout import Interleaving, build_cache_array
+from repro.core.layout import Interleaving, build_cache_array, build_regfile_array
 from repro.core.protection import SCHEMES
 
 
@@ -258,7 +259,8 @@ def test_enumerator_matches_reference(seed, mode):
     )
     lts = _random_lifetimes(rng, array.n_bytes)
     canon = _canonical_iset_ids(lts)
-    keys, counts = _enumerate_signatures(array, canon.byte2iid, mode)
+    table = _row_table(array, canon)
+    keys, counts, _, _ = _enumerate_signatures(array, canon, table, mode)
     assert keys.shape == (len(counts), 2 * mode.n_bits)
     # Key rows are unique, and none is all lifetime-empty.
     assert len({tuple(r) for r in keys.tolist()}) == len(keys)
@@ -272,6 +274,155 @@ def test_enumerator_matches_reference(seed, mode):
         sig: n for sig, n in want.items() if any(ids for _, ids in sig)
     }
     assert got == want
+    assert counts.sum() == sum(want.values())
+
+
+# -- enumeration on layouts with repeated rows --------------------------------
+
+
+def _stacked_regfile(rng, style, factor):
+    """Stacked register files whose lanes repeat one lane's lifetimes.
+
+    Four wavefronts.  In each, every lane holds one lane's interval sets
+    (SIMD lanes run the same instructions); wavefront 2 has a divergent
+    lane with lifetimes of its own, wavefront 1 is all-empty and
+    wavefront 3 repeats wavefront 0.  Rows of the stacked layout thus
+    repeat within and across wavefronts.
+    """
+    n_threads, n_regs, n_waves = 8, 4, 4
+    array = build_regfile_array(
+        n_threads * n_waves, n_regs, style=style, factor=factor, name="t"
+    )
+    lane_bytes = n_regs * 4
+    empty = [IntervalSet() for _ in range(lane_bytes)]
+    lanes = [_random_lifetimes(rng, lane_bytes, share=0.2).byte_isets
+             for _ in range(3)]
+    divergent = int(rng.integers(0, n_threads))
+    waves = [
+        [lanes[0]] * n_threads,
+        [empty] * n_threads,
+        [lanes[2] if t == divergent else lanes[1] for t in range(n_threads)],
+        [lanes[0]] * n_threads,
+    ]
+    isets = [iset for wave in waves for lane in wave for iset in lane]
+    return array, StructureLifetimes("t", isets, 0, 120)
+
+
+def _paired_cache(rng, style, factor, copies=((0, 2), (1, 3), (0, 4), (1, 5))):
+    """A cache whose first rows repeat.
+
+    By default rows 2-3 and 4-5 copy rows 0-1; the remaining rows keep
+    their own random lifetimes, so only some row blocks repeat.
+    """
+    array = build_cache_array(
+        8, 2, 16, domain_bytes=4, style=style, factor=factor, name="t",
+    )
+    isets = list(_random_lifetimes(rng, array.n_bytes).byte_isets)
+    for src, dst in copies:
+        for c in range(array.cols):
+            isets[int(array.byte_of[dst, c])] = isets[int(array.byte_of[src, c])]
+    return array, StructureLifetimes("t", isets, 0, 120)
+
+
+def _keys_of_every_placement(array, byte2iid, mode):
+    """Key rows and counts gathered at every live placement, no blocks.
+
+    This is the enumerator before row-block deduplication; the block path
+    must reproduce its key rows, their order and their counts exactly.
+    """
+    k, cols = mode.n_bits, array.cols
+    iid_of = byte2iid[array.byte_of]
+    nr, nc = array.rows - mode.height + 1, cols - mode.width + 1
+    active = np.zeros((nr, nc), dtype=bool)
+    for dr, dc in mode.offsets:
+        active |= iid_of[dr:dr + nr, dc:dc + nc] != 0
+    r0, c0 = np.nonzero(active)
+    first = r0 * cols + c0
+    keys = np.empty((len(first), 2 * k), dtype=np.int32)
+    for p, (dr, dc) in enumerate(mode.offsets):
+        keys[:, p] = array.domain_of.ravel()[first + dr * cols + dc]
+        keys[:, k + p] = iid_of.ravel()[first + dr * cols + dc]
+    keys[:, 1:k] -= keys[:, :1]
+    keys[:, 0] = 0
+    return _unique_rows(keys)
+
+
+REPEATED = [
+    ("regfile-intra", lambda rng: _stacked_regfile(
+        rng, Interleaving.INTRA_THREAD, 2)),
+    ("regfile-inter", lambda rng: _stacked_regfile(
+        rng, Interleaving.INTER_THREAD, 2)),
+    ("cache-none", lambda rng: _paired_cache(rng, Interleaving.NONE, 1)),
+    ("cache-index", lambda rng: _paired_cache(
+        rng, Interleaving.INDEX_PHYSICAL, 2)),
+    # Rows 0-5 are equal, but index interleaving spaces their first
+    # domains unevenly: equal rows alone do not make equal blocks.
+    ("cache-index-flat", lambda rng: _paired_cache(
+        rng, Interleaving.INDEX_PHYSICAL, 2,
+        copies=[(0, r) for r in range(1, 6)])),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("mode", MODES, ids=[m.name for m in MODES])
+@pytest.mark.parametrize(
+    "build", [b for _, b in REPEATED], ids=[n for n, _ in REPEATED]
+)
+def test_enumerator_on_repeated_rows(build, mode, seed):
+    array, lts = build(np.random.default_rng(seed))
+    canon = _canonical_iset_ids(lts)
+    table = _row_table(array, canon)
+    keys, counts, blocks, unique = _enumerate_signatures(array, canon, table, mode)
+    # Rows do repeat, so block weights above 1 are exercised.
+    assert 0 < unique < blocks
+    assert len({tuple(r) for r in keys.tolist()}) == len(keys)
+    want = ref.enumerate_signatures_ref(array, canon.byte2iid, mode)
+    want = {
+        sig: n for sig, n in want.items() if any(ids for _, ids in sig)
+    }
+    assert _signatures_from_keys(keys, counts, mode.n_bits) == want
+    # Every live placement is counted once.
+    assert counts.sum() == sum(want.values())
+    want_keys, want_counts = _keys_of_every_placement(
+        array, canon.byte2iid, mode
+    )
+    np.testing.assert_array_equal(keys, want_keys)
+    np.testing.assert_array_equal(counts, want_counts)
+    assert keys.dtype == want_keys.dtype and counts.dtype == want_counts.dtype
+
+
+@pytest.mark.parametrize(
+    "mode", [FaultMode.rect(9, 2), FaultMode.linear(200), FaultMode.rect(9, 200)],
+    ids=lambda m: m.name,
+)
+def test_enumerator_mode_larger_than_array(mode):
+    array = build_cache_array(4, 2, 16, domain_bytes=4, name="t")  # 8 x 128
+    lts = _random_lifetimes(np.random.default_rng(0), array.n_bytes)
+    canon = _canonical_iset_ids(lts)
+    table = _row_table(array, canon)
+    keys, counts, blocks, unique = _enumerate_signatures(array, canon, table, mode)
+    assert keys.shape == (0, 2 * mode.n_bits) and keys.dtype == np.int32
+    assert counts.shape == (0,) and counts.dtype == np.int64
+    assert blocks == unique == 0
+    assert ref.enumerate_signatures_ref(array, canon.byte2iid, mode) == {}
+
+
+@pytest.mark.parametrize("scheme", ["parity", "secded"])
+@pytest.mark.parametrize(
+    "build", [b for _, b in REPEATED], ids=[n for n, _ in REPEATED]
+)
+def test_engine_on_repeated_rows_matches_reference(build, scheme):
+    edges = (0, 30, 60, 90, 120)
+    for mode in (FaultMode.linear(3), FaultMode.rect(2, 2)):
+        array, lts = build(np.random.default_rng(5))
+        res = compute_mb_avf(
+            array, lts, mode, SCHEMES[scheme], series_edges=edges
+        )
+        want_cycles, want_series = ref.compute_outcome_cycles_ref(
+            array, lts, mode, SCHEMES[scheme], series_edges=edges
+        )
+        assert res.outcome_cycles == want_cycles
+        np.testing.assert_array_equal(res.series, want_series)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
