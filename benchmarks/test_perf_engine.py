@@ -21,25 +21,43 @@ from repro.core import (
     SecDed,
     compute_mb_avf,
 )
-from repro.core.avf import StructureLifetimes
-from repro.core.intervals import IntervalSet
+from repro.core.avf import StructureLifetimes, _canonical_iset_ids
 from repro.core.layout import build_cache_array
+from repro.core.lifetime import (
+    analyze_cache,
+    analyze_vgpr,
+    merge_fill_maps,
+)
 from repro.experiments import scaled_apu_kwargs
 from repro.workloads import run
 
-# The per-bit layout oracle lives with the tests it backs.
+# The per-bit layout and per-byte lifetime oracles live with the tests
+# they back.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
-from tests.core import layout_oracle  # noqa: E402
+from tests.core import layout_oracle, lifetime_oracle  # noqa: E402
 
 
 @pytest.fixture(scope="module")
 def prepared():
-    """One finished study plus the L1 lifetimes and geometry of CU 0."""
+    """One finished study (VGPR lifetimes built) plus the L1 lifetimes and
+    geometry of CU 0."""
     result = run("minife", apu_kwargs=scaled_apu_kwargs())
     study = AvfStudy(result.apu, result.output_ranges)
+    study.vgpr_lifetimes()
     lifetimes = study.l1_lifetimes()[0]
     cfg = result.apu.memsys.l1s[0].config
     return study, cfg, lifetimes
+
+
+def copied(lifetimes):
+    """New lifetimes over copies of the CSR arrays: no canonical table."""
+    return StructureLifetimes.from_csr(
+        lifetimes.name,
+        tuple(getattr(lifetimes, col).copy()
+              for col in ("offsets", "starts", "ends", "classes")),
+        lifetimes.start_cycle,
+        lifetimes.end_cycle,
+    )
 
 
 def cold(cfg, lifetimes):
@@ -55,11 +73,7 @@ def cold(cfg, lifetimes):
             cfg.n_sets, cfg.n_ways, cfg.line_bytes,
             style=Interleaving.WAY_PHYSICAL, factor=2,
         )
-        isets = [IntervalSet._from_arrays(*s._arrays()) for s in lifetimes.byte_isets]
-        fresh = StructureLifetimes(
-            lifetimes.name, isets, lifetimes.start_cycle, lifetimes.end_cycle
-        )
-        return (layout, fresh), {}
+        return (layout, copied(lifetimes)), {}
 
     return setup
 
@@ -125,12 +139,15 @@ def test_perf_engine_rect(benchmark, prepared):
 
 @pytest.mark.benchmark(group="perf")
 def test_perf_vgpr_stack(benchmark, prepared):
-    """Stacked register file; setup drops the study's stacked layout and
-    lifetimes so every round rebuilds them and runs the engine cold."""
+    """Stacked register file; the per-wavefront lifetimes are built in the
+    fixture, and setup drops the study's stacked layout and stacked
+    lifetimes, so every round stacks, computes canonical ids and runs the
+    engine cold."""
     study, _, _ = prepared
 
     def setup():
         study._layout_cache.pop(("vgpr-stack", Interleaving.INTER_THREAD, 2), None)
+        study._vgpr_stack = None
         return (), {}
 
     benchmark.pedantic(
@@ -183,3 +200,72 @@ def test_perf_layout_build(benchmark):
         lambda: _build_l2_layouts(layout_oracle.build_cache_array), 2
     )
     assert slow / fast >= 5.0, f"broadcast {fast:.4f}s vs per-bit {slow:.4f}s"
+
+
+def _vgpr_build(study, vgpr, stack, canon):
+    """Every wavefront's VGPR lifetimes, stacked, with canonical ids."""
+    lts = [
+        vgpr(study.apu.records, wf, study.vgpr_regs, study.end_cycle)
+        for wf in sorted(study.apu.wf_programs)
+    ]
+    return canon(stack(lts))
+
+
+def _cache_build(study, cache, canon, memcons):
+    """Every L1's and the L2's lifetimes, with canonical ids."""
+    memsys, by_uid, end = study.apu.memsys, study._records_by_uid, study.end_cycle
+    l1s = [cache(l1, by_uid, end) for l1 in memsys.l1s]
+    l2, _ = cache(
+        memsys.l2, by_uid, end, memcons=memcons,
+        upstream_fills=merge_fill_maps([fills for _, fills in l1s]),
+    )
+    return [canon(lt) for lt, _ in l1s] + [canon(l2)]
+
+
+def _csr_stack(study):
+    def stack(lts):
+        study._vgpr_lifetimes, study._vgpr_stack = lts, None
+        return study._stacked_vgpr_lifetimes()
+    return stack
+
+
+def _oracle_canon(lt):
+    return lifetime_oracle.canonical_ids(list(lt.byte_isets))
+
+
+@pytest.mark.benchmark(group="perf")
+def test_perf_lifetime_build(benchmark):
+    """Cold lifetime extraction + canonical ids, gated on same-run ratios.
+
+    Times the CSR builders (VGPR file of every wavefront, stacked; then
+    every L1 and the L2) on matmul, and compares them in this process
+    with the per-byte ``IntervalSet`` oracle doing the same work.  Each
+    side answers the L2's write-back queries with its own memory
+    consumption index, built before timing.
+    """
+    result = run("matmul", apu_kwargs=scaled_apu_kwargs())
+    study = AvfStudy(result.apu, result.output_ranges)
+    end = study.end_cycle
+    oracle_memcons = lifetime_oracle.MemoryConsumption(
+        result.apu.records, result.apu.memory.size, result.output_ranges
+    )
+
+    def both():
+        _vgpr_build(study, analyze_vgpr, _csr_stack(study), _canonical_iset_ids)
+        _cache_build(study, analyze_cache, _canonical_iset_ids, study.memcons)
+
+    benchmark.pedantic(both, rounds=3, iterations=1)
+    vgpr_fast = _min_seconds(lambda: _vgpr_build(
+        study, analyze_vgpr, _csr_stack(study), _canonical_iset_ids), 3)
+    vgpr_slow = _min_seconds(lambda: _vgpr_build(
+        study, lifetime_oracle.analyze_vgpr,
+        lambda lts: lifetime_oracle.stack("vgpr", lts, end), _oracle_canon,
+    ), 2)
+    cache_fast = _min_seconds(lambda: _cache_build(
+        study, analyze_cache, _canonical_iset_ids, study.memcons), 3)
+    cache_slow = _min_seconds(lambda: _cache_build(
+        study, lifetime_oracle.analyze_cache, _oracle_canon, oracle_memcons), 2)
+    assert vgpr_slow / vgpr_fast >= 3.0, (
+        f"VGPR: CSR {vgpr_fast:.4f}s vs per-byte {vgpr_slow:.4f}s")
+    assert cache_slow / cache_fast >= 2.0, (
+        f"L1+L2: CSR {cache_fast:.4f}s vs per-byte {cache_slow:.4f}s")

@@ -31,7 +31,6 @@ import pytest
 from repro import obs
 from repro.core import AvfStudy, FaultMode, Interleaving, Parity, compute_mb_avf
 from repro.core.avf import StructureLifetimes
-from repro.core.intervals import IntervalSet
 from repro.core.layout import build_cache_array
 from repro.experiments import scaled_apu_kwargs
 from repro.obs import MetricsRegistry, Tracer
@@ -88,9 +87,12 @@ def prepared():
             cfg.n_sets, cfg.n_ways, cfg.line_bytes,
             style=Interleaving.WAY_PHYSICAL, factor=2,
         )
-        isets = [IntervalSet._from_arrays(*s._arrays()) for s in lifetimes.byte_isets]
-        return layout, StructureLifetimes(
-            lifetimes.name, isets, lifetimes.start_cycle, lifetimes.end_cycle
+        return layout, StructureLifetimes.from_csr(
+            lifetimes.name,
+            tuple(getattr(lifetimes, col).copy()
+                  for col in ("offsets", "starts", "ends", "classes")),
+            lifetimes.start_cycle,
+            lifetimes.end_cycle,
         )
 
     return fresh

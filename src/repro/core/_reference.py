@@ -245,7 +245,7 @@ def ace_locality_ref(array: SramArray, lifetimes) -> float:
     from .avf import _canonical_iset_ids
 
     canon = _canonical_iset_ids(lifetimes)
-    byte2iid, isets = canon.byte2iid, canon.isets
+    byte2iid, isets = canon.byte2iid, canon.byte_isets
     iid_of = byte2iid[array.byte_of]
     pair_counts: Dict[Tuple[int, int], int] = {}
     for r in range(array.rows):
@@ -292,7 +292,7 @@ def compute_outcome_cycles_ref(
     from .avf import _canonical_iset_ids
 
     canon = _canonical_iset_ids(lifetimes)
-    isets = canon.isets
+    isets = canon.byte_isets
     sigs = enumerate_signatures_ref(array, canon.byte2iid, mode)
 
     region_ace_cache: Dict[FrozenSet[int], IntervalSet] = {}

@@ -63,6 +63,14 @@ def _traced_layout(build: Callable[[], SramArray]) -> SramArray:
     return layout
 
 
+def _sized(span, lts: Sequence[StructureLifetimes]) -> None:
+    """Record the tracked bytes and intervals of a ``lifetime`` span."""
+    span.set(
+        bytes=sum(lt.n_bytes for lt in lts),
+        intervals=sum(len(lt.starts) for lt in lts),
+    )
+
+
 def _merged_batch(
     layout: SramArray,
     lts: Sequence[StructureLifetimes],
@@ -124,6 +132,7 @@ class AvfStudy:
         self._l1_lifetimes: Optional[List[StructureLifetimes]] = None
         self._l2_lifetime: Optional[StructureLifetimes] = None
         self._vgpr_lifetimes: Optional[List[StructureLifetimes]] = None
+        self._vgpr_stack: Optional[StructureLifetimes] = None
         self._layout_cache: Dict[Tuple, SramArray] = {}
 
     # -- lifetimes (lazy, cached) -------------------------------------------
@@ -141,20 +150,21 @@ class AvfStudy:
         if self._l1_lifetimes is None:
             self._l1_lifetimes = []
             self._l1_fills = []
-            with get_tracer().span("lifetime", structure="l1"):
+            with get_tracer().span("lifetime", structure="l1") as span:
                 for l1 in self.apu.memsys.l1s:
                     lt, fills = analyze_cache(
                         l1, self._records_by_uid, self.end_cycle
                     )
                     self._l1_lifetimes.append(lt)
                     self._l1_fills.append(fills)
+                _sized(span, self._l1_lifetimes)
         return self._l1_lifetimes
 
     def l2_lifetime(self) -> StructureLifetimes:
         if self._l2_lifetime is None:
             self.l1_lifetimes()  # ensure fill verdicts exist
             upstream = merge_fill_maps(self._l1_fills)
-            with get_tracer().span("lifetime", structure="l2"):
+            with get_tracer().span("lifetime", structure="l2") as span:
                 self._l2_lifetime, _ = analyze_cache(
                     self.apu.memsys.l2,
                     self._records_by_uid,
@@ -162,19 +172,40 @@ class AvfStudy:
                     memcons=self.memcons,
                     upstream_fills=upstream,
                 )
+                _sized(span, [self._l2_lifetime])
         return self._l2_lifetime
 
     def vgpr_lifetimes(self) -> List[StructureLifetimes]:
         """One register-file lifetime per launched wavefront."""
         if self._vgpr_lifetimes is None:
-            with get_tracer().span("lifetime", structure="vgpr"):
+            with get_tracer().span("lifetime", structure="vgpr") as span:
                 self._vgpr_lifetimes = [
                     analyze_vgpr(
                         self.apu.records, wf, self.vgpr_regs, self.end_cycle
                     )
                     for wf in sorted(self.apu.wf_programs)
                 ]
+                _sized(span, self._vgpr_lifetimes)
         return self._vgpr_lifetimes
+
+    def _stacked_vgpr_lifetimes(self) -> StructureLifetimes:
+        """All wavefronts' register-file lifetimes as one table, built once
+        and shared by every stacked layout (so its canonical ids are too)."""
+        if self._vgpr_stack is None:
+            lts = self.vgpr_lifetimes()
+            with get_tracer().span("lifetime", structure="vgpr.stack") as span:
+                shift = np.cumsum([0] + [len(lt.starts) for lt in lts])
+                offsets = [lt.offsets[:-1] + k for lt, k in zip(lts, shift)]
+                starts, ends, classes = (
+                    np.concatenate([getattr(lt, c) for lt in lts])
+                    for c in ("starts", "ends", "classes")
+                )
+                table = (np.concatenate(offsets + [shift[-1:]]), starts, ends, classes)
+                self._vgpr_stack = StructureLifetimes.from_csr(
+                    "vgpr", table, 0, self.end_cycle
+                )
+                _sized(span, [self._vgpr_stack])
+        return self._vgpr_stack
 
     def _cache_lifetimes(self, level: str) -> List[StructureLifetimes]:
         """Per-CU L1 lifetimes, or the L2's as a one-element list."""
@@ -299,22 +330,22 @@ class AvfStudy:
         if key not in self._layout_cache:
             if style is Interleaving.INTER_THREAD and 16 % factor:
                 raise ValueError("inter-thread factor must divide thread count")
-            lts = self.vgpr_lifetimes()
-            stacked = _traced_layout(lambda: build_regfile_array(
-                16 * len(lts), self.vgpr_regs, style=style, factor=factor,
+            n_wf = len(self.vgpr_lifetimes())
+            self._layout_cache[key] = _traced_layout(lambda: build_regfile_array(
+                16 * n_wf, self.vgpr_regs, style=style, factor=factor,
                 name="vgpr",
             ))
-            isets = [iset for lt in lts for iset in lt.byte_isets]
-            lifetimes = StructureLifetimes("vgpr", isets, 0, self.end_cycle)
-            self._layout_cache[key] = (stacked, lifetimes)
-        return self._layout_cache[key]
+        return self._layout_cache[key], self._stacked_vgpr_lifetimes()
 
     def memory_lifetimes(self, region: Tuple[int, int]) -> StructureLifetimes:
         """Architectural lifetimes of a flat memory region (see
         :func:`repro.core.lifetime.analyze_memory`)."""
-        return analyze_memory(
-            self.apu.records, region, self.output_ranges, self.end_cycle
-        )
+        with get_tracer().span("lifetime", structure="memory") as span:
+            lt = analyze_memory(
+                self.apu.records, region, self.output_ranges, self.end_cycle
+            )
+            _sized(span, [lt])
+        return lt
 
     def _tag_lifetimes(self, level: str, tag_bytes: int) -> List[StructureLifetimes]:
         """Derived tag-array lifetimes, cached so repeated tag AVFs share
@@ -322,10 +353,13 @@ class AvfStudy:
         key = ("tag-lts", level, tag_bytes)
         if key not in self._layout_cache:
             line_bytes = self._cache_config(level).line_bytes
-            self._layout_cache[key] = [
-                derive_tag_lifetimes(lt, line_bytes, tag_bytes=tag_bytes)
-                for lt in self._cache_lifetimes(level)
-            ]
+            data = self._cache_lifetimes(level)
+            with get_tracer().span("lifetime", structure=f"{level}.tags") as span:
+                self._layout_cache[key] = [
+                    derive_tag_lifetimes(lt, line_bytes, tag_bytes=tag_bytes)
+                    for lt in data
+                ]
+                _sized(span, self._layout_cache[key])
         return self._layout_cache[key]
 
     def tag_avf_batch(

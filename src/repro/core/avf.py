@@ -49,13 +49,21 @@ counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import get_metrics, get_tracer
 from .faultmodes import FaultMode
-from .intervals import AceClass, IntervalSet, Outcome, intersection_duration
+from .intervals import (
+    AceClass,
+    Csr,
+    IntervalSet,
+    Outcome,
+    csr_sweep_max,
+    csr_take,
+    intersection_duration,
+)
 from .layout import SramArray
 from .protection import ProtectionScheme, region_outcomes
 
@@ -71,31 +79,62 @@ __all__ = [
     "intersection_duration",
 ]
 
+_EMPTY = np.zeros(0, dtype=np.int64)
 
-@dataclass
+
 class StructureLifetimes:
     """Per-byte classed ACE intervals for one hardware structure.
 
-    ``byte_isets[i]`` holds the :class:`AceClass` intervals of tracked byte
-    ``i`` (all 8 bits of a byte share one classification; bit-level liveness
-    refinements are already folded in by the lifetime builder).  The analysis
-    window is ``[start_cycle, end_cycle)``; intervals must lie inside it,
-    and every class must be :attr:`AceClass.READ_DEAD` or
-    :attr:`AceClass.ACE` (the engine raises ``ValueError`` otherwise).
+    One read-only int64 CSR table: tracked byte ``b`` owns intervals
+    ``offsets[b]:offsets[b + 1]`` of ``starts``, ``ends`` and ``classes``,
+    sorted and coalesced like an :class:`IntervalSet` (all 8 bits of a
+    byte share one classification; bit-level liveness refinements are
+    already folded in by the lifetime builder).  The analysis window is
+    ``[start_cycle, end_cycle)``; intervals must lie inside it, and every
+    class must be :attr:`AceClass.READ_DEAD` or :attr:`AceClass.ACE` (the
+    engine raises ``ValueError`` otherwise).
 
-    The engine caches derived state (canonical lifetime ids and their
-    interval table) on the instance, so ``byte_isets`` must not be mutated
-    after the first AVF computation.
+    The constructor converts per-byte :class:`IntervalSet` once; builders
+    hand over their table with :meth:`from_csr`.  ``byte_isets`` is a
+    read-only view, and the engine caches canonical ids on the instance.
     """
 
-    name: str
-    byte_isets: Sequence[IntervalSet]
-    start_cycle: int
-    end_cycle: int
-    #: engine cache, filled by _canonical_iset_ids on first AVF computation
-    _canon_cache: Optional["_CanonicalIds"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self, name: str, byte_isets: Sequence[IntervalSet],
+        start_cycle: int, end_cycle: int,
+    ) -> None:
+        arrays = [iset._arrays() for iset in byte_isets]
+        offsets = np.cumsum([0] + [len(a[0]) for a in arrays])
+        s, e, c = (np.concatenate([a[i] for a in arrays] or [_EMPTY]) for i in range(3))
+        self._set(name, (offsets, s, e, c), start_cycle, end_cycle)
+
+    @classmethod
+    def from_csr(
+        cls, name: str, table: Csr, start_cycle: int, end_cycle: int
+    ) -> "StructureLifetimes":
+        """Lifetimes over a CSR ``(offsets, starts, ends, classes)`` table."""
+        obj = cls.__new__(cls)
+        obj._set(name, table, start_cycle, end_cycle)
+        return obj
+
+    def _set(self, name: str, table: Csr, start_cycle: int, end_cycle: int) -> None:
+        arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in table]
+        if not len(arrays[1]) == len(arrays[2]) == len(arrays[3]) == arrays[0][-1]:
+            raise ValueError("CSR offsets and interval columns disagree")
+        for arr in arrays:
+            arr.flags.writeable = False
+        self.offsets, self.starts, self.ends, self.classes = arrays
+        self.name, self.start_cycle, self.end_cycle = name, start_cycle, end_cycle
+        #: engine cache, filled by _canonical_iset_ids on first AVF computation
+        self._canon_cache: Optional[_CanonicalIds] = None
+
+    @property
+    def n_bytes(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def byte_isets(self) -> "_ByteIsets":
+        return _ByteIsets(self)
 
     @property
     def window_cycles(self) -> int:
@@ -103,8 +142,34 @@ class StructureLifetimes:
 
     def sb_ace_fraction(self) -> float:
         """Plain single-bit AVF with no protection (fraction of ACE bit-cycles)."""
-        total = sum(s.total(int(AceClass.ACE)) for s in self.byte_isets)
-        return total / (len(self.byte_isets) * self.window_cycles)
+        ace = self.classes == int(AceClass.ACE)
+        total = int((self.ends[ace] - self.starts[ace]).sum())
+        return total / (self.n_bytes * self.window_cycles)
+
+
+class _ByteIsets(Sequence[IntervalSet]):
+    """Read-only per-byte :class:`IntervalSet` view of a lifetimes table;
+    items are built on access, over slices of the table."""
+
+    def __init__(self, lifetimes: StructureLifetimes) -> None:
+        self._lt = lifetimes
+
+    def __len__(self) -> int:
+        return self._lt.n_bytes
+
+    def __getitem__(self, i: Any) -> Any:
+        if isinstance(i, slice):
+            return [self[b] for b in range(*i.indices(len(self)))]
+        b = range(len(self))[i]
+        return self._set(*self._lt.offsets[b:b + 2].tolist())
+
+    def __iter__(self) -> Iterator[IntervalSet]:
+        bounds = self._lt.offsets.tolist()
+        return map(self._set, bounds[:-1], bounds[1:])
+
+    def _set(self, lo: int, hi: int) -> IntervalSet:
+        lt = self._lt
+        return IntervalSet._from_arrays(lt.starts[lo:hi], lt.ends[lo:hi], lt.classes[lo:hi])
 
 
 @dataclass(frozen=True)
@@ -197,51 +262,65 @@ class MbAvfResult:
         raise ValueError(f"unknown reduction {reduce!r}")
 
 
-class _CanonicalIds:
+class _CanonicalIds(StructureLifetimes):
     """Canonical lifetime-id table of one :class:`StructureLifetimes`.
 
-    ``byte2iid`` maps byte ids to canonical interval-set ids (0 = the empty
-    set); ``isets[iid]`` is the representative set.  The same sets are held
-    once more as a read-only CSR table: lifetime ``iid`` owns intervals
-    ``offsets[iid]:offsets[iid + 1]`` of ``starts``, ``ends`` and
-    ``classes``, which is what the engine's sweep gathers from.
+    ``byte2iid`` maps byte ids to canonical lifetime ids (0 = the empty
+    set), numbered in the order of each lifetime's first byte.  The table
+    itself holds the unique lifetimes: lifetime ``iid`` owns intervals
+    ``offsets[iid]:offsets[iid + 1]``, which is what the engine's sweep
+    gathers from.
     """
 
-    __slots__ = ("byte2iid", "isets", "offsets", "starts", "ends", "classes")
-
-    def __init__(self, byte2iid: np.ndarray, isets: List[IntervalSet]) -> None:
-        self.byte2iid = byte2iid
-        self.isets = isets
-        arrays = [iset._arrays() for iset in isets]
-        offsets = np.zeros(len(isets) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s, _, _ in arrays], out=offsets[1:])
-        starts, ends, classes = (
-            np.concatenate([a[i] for a in arrays]).astype(np.int64, copy=False)
-            for i in range(3)
-        )
+    def __init__(self, lifetimes: StructureLifetimes) -> None:
+        lt = lifetimes
+        self.byte2iid, first_byte = _canonical_ids(lt)
+        offsets, idx = csr_take(lt.offsets, first_byte)
+        table = (np.append(0, offsets), lt.starts[idx], lt.ends[idx], lt.classes[idx])
+        self._set(lt.name, table, lt.start_cycle, lt.end_cycle)
         # The sweep maps classes before taking the max over a region, which
         # is exact only for AceClass labels (see _classify).
-        bad = (classes != int(AceClass.READ_DEAD)) & (classes != int(AceClass.ACE))
+        bad = (self.classes != int(AceClass.READ_DEAD)) & (self.classes != int(AceClass.ACE))
         if bad.any():
             raise ValueError(
-                f"lifetime class {int(classes[bad][0])} is not an AceClass "
+                f"lifetime class {int(self.classes[bad][0])} is not an AceClass "
                 "(READ_DEAD or ACE)"
             )
-        for arr in (offsets, starts, ends, classes):
-            arr.flags.writeable = False
-        self.offsets = offsets
-        self.starts = starts
-        self.ends = ends
-        self.classes = classes
+
+
+def _canonical_ids(lifetimes: StructureLifetimes) -> Tuple[np.ndarray, np.ndarray]:
+    """``byte2iid`` and the first byte of lifetimes ``1..n`` (exact dedup).
+
+    Runs of equal length are compared as whole ``(starts, ends, classes)``
+    rows, one ``np.unique`` over a void view per distinct length; ids are
+    then numbered in first-occurrence byte order.
+    """
+    lt = lifetimes
+    lengths = np.diff(lt.offsets)
+    ids = np.zeros(len(lengths), dtype=np.int64)  # 1 + index into firsts
+    firsts: List[np.ndarray] = [_EMPTY]
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == n)
+        at = lt.offsets[rows][:, None] + np.arange(n, dtype=np.int64)
+        runs = np.concatenate([lt.starts[at], lt.ends[at], lt.classes[at]], axis=1)
+        _, first, inverse = np.unique(
+            runs.view(np.dtype((np.void, runs.itemsize * 3 * n))).ravel(),
+            return_index=True, return_inverse=True,
+        )
+        ids[rows] = inverse.ravel() + sum(map(len, firsts)) + 1
+        firsts.append(rows[first])
+    first_byte = np.concatenate(firsts)
+    order = np.argsort(first_byte)
+    rank = np.zeros(len(order) + 1, dtype=np.int32)
+    rank[order + 1] = np.arange(1, len(order) + 1, dtype=np.int32)
+    return rank[ids], first_byte[order]
 
 
 def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
     """Canonical lifetime ids for ``lifetimes``, computed once and cached.
 
-    Bytes whose interval sets are byte-for-byte equal share one id, so all
-    downstream caches collapse identical lifetimes.  Deduplication is by
-    object identity first (stacked structures reuse set objects), then by
-    the sets' canonical array encoding.
+    Bytes whose lifetimes are interval-for-interval equal share one id, so
+    all downstream caches collapse identical lifetimes.
     """
     canon = lifetimes._canon_cache
     metrics = get_metrics()
@@ -252,26 +331,8 @@ def _canonical_iset_ids(lifetimes: StructureLifetimes) -> _CanonicalIds:
     if metrics:
         metrics.counter("avf.batch_cache_misses").inc()
     with get_tracer().span("canon", structure=lifetimes.name) as span:
-        table: Dict[bytes, int] = {b"": 0}
-        by_obj: Dict[int, int] = {}
-        unique: List[IntervalSet] = [IntervalSet()]
-        byte2iid = np.zeros(len(lifetimes.byte_isets), dtype=np.int32)
-        for b, iset in enumerate(lifetimes.byte_isets):
-            # id()-keyed interning is safe here: by_obj never outlives this
-            # pass and every keyed object stays alive in lifetimes.byte_isets,
-            # so ids cannot be recycled; ordering never depends on the ids.
-            iid = by_obj.get(id(iset))  # staticcheck: ignore[D104]
-            if iid is None:
-                key = iset._key()
-                iid = table.get(key)
-                if iid is None:
-                    iid = len(unique)
-                    table[key] = iid
-                    unique.append(iset)
-                by_obj[id(iset)] = iid  # staticcheck: ignore[D104]
-            byte2iid[b] = iid
-        canon = _CanonicalIds(byte2iid, unique)
-        span.set(isets=len(unique))
+        canon = _CanonicalIds(lifetimes)
+        span.set(isets=canon.n_bytes, intervals=len(canon.starts))
     lifetimes._canon_cache = canon
     return canon
 
@@ -473,11 +534,8 @@ def _classify(
     for p in range(k):
         size[:, p] = (dom == dom[:, p:p + 1]).sum(axis=1)
     rows, pos = np.nonzero((iid != 0) & lut.any(axis=1)[size])
-    member = iid[rows, pos]
-    first = canon.offsets[member]
-    lengths = canon.offsets[member + 1] - first
-    ival = np.repeat(first - (np.cumsum(lengths) - lengths), lengths)
-    ival += np.arange(len(ival), dtype=np.int64)
+    bounds, ival = csr_take(canon.offsets, iid[rows, pos])
+    lengths = np.diff(bounds)
     cls = lut[np.repeat(size[rows, pos], lengths), canon.classes[ival]]
     keep = cls > 0
     ival = ival[keep]
@@ -718,33 +776,26 @@ def ace_locality(array: SramArray, lifetimes: StructureLifetimes) -> float:
     ACE locality have lower MB-AVF (Sec. VI-B).
 
     All adjacent pairs of the whole array are bucketed with one lexsort
-    (instead of one ``np.unique`` per row); the Jaccard terms are then
-    evaluated once per distinct (lifetime id, lifetime id) pair.
+    (instead of one ``np.unique`` per row); each distinct (lifetime id,
+    lifetime id) pair becomes one row holding both members' ACE
+    intervals, whose union length (:func:`csr_sweep_max`) gives
+    ``|ACE_i u ACE_j|`` and ``|ACE_i n ACE_j| = |ACE_i| + |ACE_j| -`` that.
     """
     canon = _canonical_iset_ids(lifetimes)
-    isets = canon.isets
     iid_of = canon.byte2iid[array.byte_of]
     pairs = np.stack(
         [iid_of[:, :-1].ravel(), iid_of[:, 1:].ravel()], axis=1
     )
     uniq, counts = _unique_rows(pairs)
-    inter = 0.0
-    union = 0.0
-    ace = int(AceClass.ACE)
-    dur_cache: Dict[int, int] = {}
-
-    def dur(i: int) -> int:
-        d = dur_cache.get(i)
-        if d is None:
-            d = dur_cache[i] = isets[i].total_at_least(ace) if i else 0
-        return d
-
-    for (ia, ib), n in zip(uniq.tolist(), counts.tolist()):
-        da = dur(ia)
-        db = dur(ib)
-        if da == 0 and db == 0:
-            continue
-        ov = intersection_duration(isets[ia], isets[ib], ace) if ia and ib else 0
-        inter += n * ov
-        union += n * (da + db - ov)
-    return inter / union if union else 1.0
+    n = len(uniq)
+    bounds, idx = csr_take(canon.offsets, uniq.T.ravel())
+    row = np.repeat(np.tile(np.arange(n, dtype=np.int64), 2), np.diff(bounds))
+    ace = canon.classes[idx] == int(AceClass.ACE)
+    row, starts, ends = row[ace], canon.starts[idx[ace]], canon.ends[idx[ace]]
+    union = csr_sweep_max(n, row, starts, ends, np.ones(len(row), dtype=np.int64))
+    u_row = np.repeat(np.arange(n, dtype=np.int64), np.diff(union[0]))
+    union_len = np.bincount(u_row, weights=union[2] - union[1], minlength=n)
+    both_len = np.bincount(row, weights=ends - starts, minlength=n)
+    inter = float((counts * (both_len - union_len).astype(np.int64, copy=False)).sum())
+    total = float((counts * union_len.astype(np.int64, copy=False)).sum())
+    return inter / total if total else 1.0

@@ -2,9 +2,11 @@
 
 ACE analysis reduces to bookkeeping over half-open cycle intervals
 ``[start, end)`` tagged with an :class:`AceClass`.  Every bit (in practice,
-every tracked byte) of a hardware structure owns one :class:`IntervalSet`
-describing when its content is required for architecturally correct
-execution.  Multi-bit AVF analysis then combines the interval sets of the
+every tracked byte) of a hardware structure owns a sorted, coalesced set
+of them describing when its content is required for architecturally
+correct execution; a structure keeps all of them in one CSR table
+(:func:`csr_from_intervals`), and :class:`IntervalSet` is the one-set
+view.  Multi-bit AVF analysis then combines the interval sets of the
 bits inside a fault group (the union of ACEness, eq. 5 of the paper) and
 classifies the result according to the protection scheme's reaction.
 
@@ -16,10 +18,9 @@ Storage and kernels
 An :class:`IntervalSet` is backed by three contiguous ``int64`` arrays
 (``starts``, ``ends``, ``classes``); the list-of-tuples surface
 (:meth:`IntervalSet.__iter__`, :meth:`IntervalSet.append`,
-:meth:`IntervalSet._from_sorted`) is a thin view over them.  Appends from
-the lifetime trackers land in a small Python staging list and are folded
-into the arrays on first read, so trace replay stays cheap while the
-analysis kernels get flat arrays.
+:meth:`IntervalSet._from_sorted`) is a thin view over them.  Appends land
+in a small Python staging list and are folded into the arrays on first
+read.
 
 The hot operations (:func:`sweep_max`, :meth:`IntervalSet.bucket_accumulate`,
 :meth:`IntervalSet.clip`, the totals and :func:`intersection_duration`) each
@@ -45,6 +46,9 @@ __all__ = [
     "sweep_max",
     "combine_outcomes",
     "intersection_duration",
+    "csr_from_intervals",
+    "csr_sweep_max",
+    "csr_take",
 ]
 
 #: Inputs below this many intervals take the plain-Python kernel path;
@@ -100,7 +104,7 @@ class IntervalSet:
     classifications; the class is just a small non-negative integer.
     """
 
-    __slots__ = ("_starts", "_ends", "_cls", "_tail", "_view", "_bytes")
+    __slots__ = ("_starts", "_ends", "_cls", "_tail", "_view")
 
     def __init__(self, intervals: Iterable[Interval] = ()) -> None:
         ivals = sorted((int(s), int(e), int(c)) for s, e, c in intervals)
@@ -122,7 +126,6 @@ class IntervalSet:
         self._starts = self._ends = self._cls = _EMPTY
         self._tail = tail
         self._view: List[Interval] = None
-        self._bytes: bytes = None
 
     # -- construction ------------------------------------------------------
 
@@ -133,7 +136,6 @@ class IntervalSet:
         obj._starts = obj._ends = obj._cls = _EMPTY
         obj._tail = list(ivals)
         obj._view = None
-        obj._bytes = None
         return obj
 
     @classmethod
@@ -147,15 +149,14 @@ class IntervalSet:
         obj._cls = classes
         obj._tail = []
         obj._view = None
-        obj._bytes = None
         return obj
 
     def append(self, start: int, end: int, klass: int) -> None:
         """Append an interval that begins at or after every stored interval.
 
-        This is the fast path used by lifetime trackers, which emit intervals
-        in increasing time order.  Class-0 appends are ignored; adjacent
-        same-class intervals are coalesced.
+        For builders that emit intervals in increasing time order.
+        Class-0 appends are ignored; adjacent same-class intervals are
+        coalesced.
         """
         if end <= start or klass == 0:
             return
@@ -169,7 +170,6 @@ class IntervalSet:
             if pe == start and pc == klass:
                 tail[-1] = (ps, end, pc)
                 self._view = None
-                self._bytes = None
                 return
         elif len(self._ends) and start < self._ends[-1]:
             raise ValueError(
@@ -178,7 +178,6 @@ class IntervalSet:
             )
         tail.append((start, end, klass))
         self._view = None
-        self._bytes = None
 
     # -- storage -----------------------------------------------------------
 
@@ -220,16 +219,6 @@ class IntervalSet:
             view = self._view = list(zip(s.tolist(), e.tolist(), c.tolist()))
         return view
 
-    def _key(self) -> bytes:
-        """Canonical byte encoding: equal sets have equal keys."""
-        key = self._bytes
-        if key is None:
-            s, e, c = self._arrays()
-            key = self._bytes = (
-                s.tobytes() + e.tobytes() + c.tobytes()
-            )
-        return key
-
     # -- queries -----------------------------------------------------------
 
     def __iter__(self) -> Iterator[Interval]:
@@ -246,10 +235,10 @@ class IntervalSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalSet):
             return NotImplemented
-        return self._key() == other._key()
+        return all(map(np.array_equal, self._arrays(), other._arrays()))
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(b"".join(a.tobytes() for a in self._arrays()))
 
     def __repr__(self) -> str:
         return f"IntervalSet({self._tuple_view()!r})"
@@ -414,49 +403,97 @@ class IntervalSet:
             out[:, int(k)] += np.diff(cov)
 
 
-def _sweep_max_vector(sets: Sequence[IntervalSet]) -> IntervalSet:
-    """Vectorized eq. 5 union: one event sort + per-class running coverage."""
-    starts = []
-    ends = []
-    classes = []
-    for iset in sets:
-        s, e, c = iset._arrays()
-        starts.append(s)
-        ends.append(e)
-        classes.append(c)
-    s = np.concatenate(starts)
-    e = np.concatenate(ends)
-    c = np.concatenate(classes)
-    # Boundary events: +1 at starts, -1 at ends, per class.
-    times, inv = np.unique(np.concatenate([s, e]), return_inverse=True)
-    cls2 = np.concatenate([c, c])
-    delta = np.empty(2 * len(s), dtype=np.int64)
-    delta[: len(s)] = 1
-    delta[len(s):] = -1
-    nseg = len(times) - 1
-    active = np.zeros(nseg, dtype=np.int64)
-    for k in np.unique(c)[::-1]:  # highest class wins
-        m = cls2 == k
-        d = np.zeros(len(times), dtype=np.int64)
-        np.add.at(d, inv[m], delta[m])
-        cov = np.cumsum(d)[:-1]
-        np.copyto(active, k, where=(active == 0) & (cov > 0))
-    if not active.any():
-        return IntervalSet._from_arrays(_EMPTY, _EMPTY, _EMPTY)
-    # Run-length encode the per-segment classes; segments share boundaries,
-    # so equal-class runs coalesce and class-0 runs split, exactly like the
-    # event-at-a-time reference.
-    change = np.empty(nseg, dtype=bool)
-    change[0] = True
-    np.not_equal(active[1:], active[:-1], out=change[1:])
-    idx = np.flatnonzero(change)
-    run_cls = active[idx]
-    run_start = times[idx]
-    run_end = times[np.append(idx[1:], nseg)]
-    keep = run_cls > 0
-    return IntervalSet._from_arrays(
-        run_start[keep], run_end[keep], run_cls[keep]
+#: A CSR interval table ``(offsets, starts, ends, classes)``: row ``r``
+#: owns intervals ``offsets[r]:offsets[r + 1]`` of the other three.
+Csr = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def csr_from_intervals(
+    n_rows: int,
+    row: np.ndarray,
+    start: np.ndarray,
+    end: np.ndarray,
+    cls: np.ndarray,
+) -> Csr:
+    """The int64 CSR table of intervals emitted in any order.
+
+    ``row[i]`` owns ``[start[i], end[i])`` of class ``cls[i]``.  Empty and
+    class-0 intervals are dropped; a row's intervals must not overlap.
+    They are sorted by ``(row, start)`` and adjacent same-class intervals
+    of a row coalesce, exactly as :meth:`IntervalSet.append` does.
+    """
+    row, start, end, cls = (
+        np.asarray(a, dtype=np.int64) for a in (row, start, end, cls)
     )
+    keep = (end > start) & (cls != 0)
+    order = np.lexsort((start[keep], row[keep]))
+    row, start, end, cls = (a[keep][order] for a in (row, start, end, cls))
+    n = len(row)
+    if n:
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        head[1:] = (
+            (row[1:] != row[:-1]) | (start[1:] != end[:-1]) | (cls[1:] != cls[:-1])
+        )
+        idx = np.flatnonzero(head)
+        end = end[np.append(idx[1:] - 1, n - 1)]
+        row, start, cls = row[idx], start[idx], cls[idx]
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n_rows), out=offsets[1:])
+    return offsets, start, end, cls
+
+
+def csr_take(offsets: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets and interval indices of CSR ``rows``, in the given order."""
+    first = offsets[rows]
+    lengths = offsets[rows + 1] - first
+    out = np.zeros(len(first) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    idx = np.repeat(first - out[:-1], lengths)
+    idx += np.arange(len(idx), dtype=np.int64)
+    return out, idx
+
+
+def csr_sweep_max(
+    n_rows: int, row: np.ndarray, start: np.ndarray, end: np.ndarray,
+    cls: np.ndarray,
+) -> Csr:
+    """Per-row eq. 5 union of classed intervals, as a CSR table.
+
+    ``row[i]`` owns ``[start[i], end[i])`` of class ``cls[i]``; a row's
+    intervals may overlap.  At every instant a row's result class is the
+    maximum class covering it.  One event sort by ``(row, cycle)``; each
+    row's ``+1/-1`` events sum to zero, so one cumsum per class gives
+    every row's running coverage.
+    """
+    g = np.concatenate([row, row])
+    t = np.concatenate([start, end])
+    c = np.concatenate([cls, cls])
+    delta = np.repeat(np.array([1, -1], dtype=np.int64), len(row))
+    order = np.lexsort((t, g))
+    g, t, c, delta = g[order], t[order], c[order], delta[order]
+    # Distinct (row, cycle) points; segment i spans points i .. i + 1.
+    new = np.ones(len(t), dtype=bool)
+    new[1:] = (g[1:] != g[:-1]) | (t[1:] != t[:-1])
+    point = np.cumsum(new) - 1
+    pg, pt = g[new], t[new]
+    active = np.zeros(len(pt), dtype=np.int64)
+    for k in np.unique(c)[::-1].tolist():  # highest class wins
+        m = c == k
+        d = np.zeros(len(pt), dtype=np.int64)
+        np.add.at(d, point[m], delta[m])
+        active[(active == 0) & (np.cumsum(d) > 0)] = k
+    same = pg[1:] == pg[:-1]
+    return csr_from_intervals(
+        n_rows, pg[:-1][same], pt[:-1][same], pt[1:][same], active[:-1][same]
+    )
+
+
+def _sweep_max_vector(sets: Sequence[IntervalSet]) -> IntervalSet:
+    """Vectorized eq. 5 union: :func:`csr_sweep_max` of one row."""
+    s, e, c = (np.concatenate(a) for a in zip(*(iset._arrays() for iset in sets)))
+    _, starts, ends, classes = csr_sweep_max(1, np.zeros(len(s), dtype=np.int64), s, e, c)
+    return IntervalSet._from_arrays(starts, ends, classes)
 
 
 def sweep_max(sets: Sequence[IntervalSet]) -> IntervalSet:

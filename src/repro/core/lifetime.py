@@ -23,7 +23,6 @@ later consumed or belong to a program output buffer).
 
 from __future__ import annotations
 
-import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from ..arch.cache import Cache
 from ..arch.isa import WAVEFRONT_LANES
 from ..arch.trace import EvictEvent, FillEvent, InstrRecord, ReadEvent, WriteEvent
 from .avf import StructureLifetimes
-from .intervals import AceClass, IntervalSet
+from .intervals import AceClass, csr_from_intervals, csr_sweep_max, csr_take
 
 __all__ = [
     "MemoryConsumption",
@@ -44,6 +43,49 @@ __all__ = [
 
 _ACE = int(AceClass.ACE)
 _DEAD = int(AceClass.READ_DEAD)
+_EMPTY = np.zeros(0, dtype=np.int64)
+_STORES = ("v_store", "v_store_u8")
+
+
+def _lane_bytes(
+    rec: InstrRecord, lanes: np.ndarray, needed: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Addresses ``(lanes, nbytes)`` the lanes access and which are live."""
+    addr = rec.addrs[lanes].astype(np.int64)[:, None] + np.arange(rec.nbytes)
+    if needed is None:
+        return addr, np.ones(addr.shape, dtype=bool)
+    m = needed[lanes].astype(np.int64)[:, None]
+    return addr, ((m >> (8 * np.arange(rec.nbytes))) & 0xFF) != 0
+
+
+def _global_accesses(
+    records: Sequence[InstrRecord],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every byte access of the global loads and stores, in record order:
+    ``(addr, t, is_store, live)`` (a store's bytes count as live)."""
+    parts = []
+    for rec in records:
+        if rec.space == "global" and rec.op in _STORES + ("v_load", "v_load_u8"):
+            store = rec.op in _STORES
+            addr, live = _lane_bytes(
+                rec, np.flatnonzero(rec.acc_mask), None if store else rec.load_needed
+            )
+            n = addr.size
+            parts.append((addr.ravel(), np.full(n, rec.t), np.full(n, store), live.ravel()))
+    addr, t, store, live = (
+        np.concatenate([p[i] for p in parts] or [_EMPTY]) for i in range(4)
+    )
+    return addr, t, store.astype(bool), live.astype(bool)
+
+
+def _output_mask(
+    base: int, size: int, output_ranges: Sequence[Tuple[int, int]]
+) -> np.ndarray:
+    """Which bytes of ``[base, base + size)`` lie in a program output buffer."""
+    mask = np.zeros(size, dtype=bool)
+    for obase, osize in output_ranges:
+        mask[max(obase - base, 0) : max(obase + osize - base, 0)] = True
+    return mask
 
 
 class MemoryConsumption:
@@ -53,6 +95,9 @@ class MemoryConsumption:
     value ever be consumed?  Consumption is a later live load before the
     next store, or membership in a program output buffer with no later
     store (the host reads outputs after the workload).
+
+    Stores and loads (of stored bytes only) are kept sorted by the key
+    ``addr * span + t``, so each query is a few binary searches.
     """
 
     def __init__(
@@ -61,106 +106,99 @@ class MemoryConsumption:
         mem_size: int,
         output_ranges: Sequence[Tuple[int, int]],
     ) -> None:
-        self._stores: Dict[int, List[int]] = {}
-        self._loads: Dict[int, Tuple[List[int], List[bool]]] = {}
-        self._is_output = np.zeros(mem_size, dtype=bool)
-        for base, size in output_ranges:
-            self._is_output[base : base + size] = True
-        stored = np.zeros(mem_size, dtype=bool)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_store", "v_store_u8"):
-                continue
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                for b in range(rec.nbytes):
-                    stored[a + b] = True
-                    self._stores.setdefault(a + b, []).append(rec.t)
-        for rec in records:
-            if rec.space != "global" or rec.op not in ("v_load", "v_load_u8"):
-                continue
-            needed = rec.load_needed
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-                for b in range(rec.nbytes):
-                    addr = a + b
-                    if not stored[addr]:
-                        continue
-                    live = bool(m & (0xFF << (8 * b)))
-                    ts, ls = self._loads.setdefault(addr, ([], []))
-                    ts.append(rec.t)
-                    ls.append(live)
+        self._is_output = _output_mask(0, mem_size, output_ranges)
+        addr, t, store, live = _global_accesses(records)
+        self._span = int(t.max(initial=0)) + 1
+        # The sentinel past the last store key ends every byte's range.
+        self._stores = np.append(
+            np.sort(addr[store] * self._span + t[store]), np.iinfo(np.int64).max
+        )
+        load = ~store & np.isin(addr, addr[store])
+        key = addr[load] * self._span + t[load]
+        order = np.argsort(key, kind="stable")
+        self._loads = key[order]
+        self._live = np.concatenate([[0], np.cumsum(live[load][order])])
 
-    def _next_store_after(self, addr: int, t: int) -> float:
-        ts = self._stores.get(addr)
-        if not ts:
-            return float("inf")
-        i = bisect.bisect_right(ts, t)
-        return ts[i] if i < len(ts) else float("inf")
+    def _window(
+        self, addr: np.ndarray, t: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Loads ``[i, j)`` of each byte of ``addr`` from ``t`` through its
+        next store, and whether no store follows.  A ``t`` past every event
+        keys past the byte's range, where it finds no load (``j <= i``)."""
+        k = addr * self._span + t
+        end = (addr + 1) * self._span
+        nxt = self._stores[np.searchsorted(self._stores, k, side="right")]
+        last = nxt >= end
+        i = np.searchsorted(self._loads, k, side="left")
+        j = np.searchsorted(self._loads, np.where(last, end - 1, nxt), side="right")
+        return i, j, last
+
+    def consumed(self, addr: np.ndarray, t: int) -> np.ndarray:
+        """:meth:`live_after` of every byte of ``addr`` at once."""
+        i, j, last = self._window(addr, t)
+        return (self._live[j] > self._live[i]) | (self._is_output[addr] & last)
 
     def live_after(self, addr: int, t: int) -> bool:
         """True if the value at ``addr`` as of cycle ``t`` is ever consumed."""
-        horizon = self._next_store_after(addr, t)
-        loads = self._loads.get(addr)
-        if loads is not None:
-            ts, ls = loads
-            i = bisect.bisect_left(ts, t)
-            while i < len(ts) and ts[i] <= horizon:
-                if ls[i]:
-                    return True
-                i += 1
-        return bool(self._is_output[addr]) and horizon == float("inf")
+        return bool(self.consumed(np.array([addr]), t)[0])
 
     def read_after(self, addr: int, t: int) -> bool:
         """True if the value at ``addr`` as of ``t`` is ever read (even dead)."""
-        horizon = self._next_store_after(addr, t)
-        loads = self._loads.get(addr)
-        if loads is not None:
-            ts, _ = loads
-            i = bisect.bisect_left(ts, t)
-            if i < len(ts) and ts[i] <= horizon:
-                return True
-        return bool(self._is_output[addr]) and horizon == float("inf")
+        i, j, last = self._window(np.array([addr]), t)
+        return bool(j[0] > i[0] or (self._is_output[addr] and last[0]))
+
+
+_Part = Tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+
+def _segments(b: np.ndarray, s: np.ndarray, tl: np.ndarray, ta: np.ndarray) -> List[_Part]:
+    """Intervals of value segments of bytes ``b`` opened at ``s``, last read
+    live at ``tl`` and last read at ``ta``: ACE ``[s, tl)`` and READ_DEAD
+    ``[max(tl, s), ta)``, empty ones dropped."""
+    lo = np.maximum(tl, s)
+    return [
+        (b[keep], start[keep], end[keep], cls)
+        for keep, start, end, cls in ((tl > s, s, tl, _ACE), (ta > lo, lo, ta, _DEAD))
+        if keep.any()
+    ]
+
+
+def _lifetimes(
+    name: str, n_bytes: int, end_cycle: int, parts: List[_Part]
+) -> StructureLifetimes:
+    """The lifetimes of all emitted intervals, as one CSR table."""
+    columns = [np.concatenate([p[i] for p in parts] or [_EMPTY]) for i in range(3)]
+    cls = np.repeat([p[3] for p in parts], [len(p[0]) for p in parts])
+    table = csr_from_intervals(n_bytes, *columns, cls)
+    return StructureLifetimes.from_csr(name, table, 0, end_cycle)
 
 
 class _ByteTracker:
-    """Per-byte segment state machine shared by cache and VGPR analyses."""
+    """Per-byte segment state machine of a cache's data array.
+
+    Every operation takes an array of distinct byte ids.
+    """
 
     def __init__(self, n_bytes: int) -> None:
-        self.n_bytes = n_bytes
         self.seg_start = np.full(n_bytes, -1, dtype=np.int64)
         self.last_live = np.zeros(n_bytes, dtype=np.int64)
         self.last_any = np.zeros(n_bytes, dtype=np.int64)
-        self.isets: List[IntervalSet] = [IntervalSet() for _ in range(n_bytes)]
+        self.parts: List[_Part] = []
 
-    def open(self, b: int, t: int) -> None:
-        self.seg_start[b] = t
-        self.last_live[b] = t
-        self.last_any[b] = t
+    def open(self, b: np.ndarray, t: int) -> None:
+        self.seg_start[b] = self.last_live[b] = self.last_any[b] = t
 
-    def close(self, b: int) -> None:
-        s = self.seg_start[b]
-        if s < 0:
-            return
-        tl = int(self.last_live[b])
-        ta = int(self.last_any[b])
-        iset = self.isets[b]
-        if tl > s:
-            iset.append(int(s), tl, _ACE)
-        if ta > max(tl, s):
-            iset.append(max(tl, int(s)), ta, _DEAD)
+    def close(self, b: np.ndarray) -> None:
+        b = b[self.seg_start[b] >= 0]
+        self.parts += _segments(b, self.seg_start[b], self.last_live[b], self.last_any[b])
         self.seg_start[b] = -1
 
-    def read(self, b: int, t: int, live: bool) -> None:
-        if self.seg_start[b] < 0:
-            return
-        self.last_any[b] = max(self.last_any[b], t)
-        if live:
-            self.last_live[b] = max(self.last_live[b], t)
-
-    def close_all(self) -> None:
-        for b in np.where(self.seg_start >= 0)[0]:
-            self.close(int(b))
+    def read(self, b: np.ndarray, t: int, live: np.ndarray) -> None:
+        open_ = self.seg_start[b] >= 0
+        b, live = b[open_], live[open_]
+        self.last_any[b] = np.maximum(self.last_any[b], t)
+        b = b[live]
+        self.last_live[b] = np.maximum(self.last_live[b], t)
 
 
 def analyze_cache(
@@ -187,82 +225,66 @@ def analyze_cache(
     trk = _ByteTracker(n_bytes)
     origin_fill = np.full(n_bytes, -1, dtype=np.int64)
     fills: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    line = np.arange(lb)
+    all_live = np.ones(lb, dtype=bool)
 
-    def slot_base(s: int, w: int) -> int:
-        return (s * cfg.n_ways + w) * lb
+    def slot(ev) -> np.ndarray:
+        return (ev.set * cfg.n_ways + ev.way) * lb + line
 
-    def note_fill_usage(b: int, off: int, live: bool) -> None:
+    def read(b: np.ndarray, off: np.ndarray, t: int, live: np.ndarray) -> None:
+        """A read of bytes ``b`` (line offsets ``off``); also marks the
+        usage on the fill each byte's value came from."""
+        trk.read(b, t, live)
         fid = origin_fill[b]
-        if fid >= 0:
-            read_mask, live_mask = fills[int(fid)]
-            read_mask[off] = True
-            if live:
-                live_mask[off] = True
+        for f in np.unique(fid[fid >= 0]).tolist():
+            read_mask, live_mask = fills[f]
+            mine = fid == f
+            read_mask[off[mine]] = True
+            live_mask[off[mine & live]] = True
 
     for ev in cache.events:
         if isinstance(ev, FillEvent):
-            base = slot_base(ev.set, ev.way)
+            b = slot(ev)
             fills[ev.fill_id] = (np.zeros(lb, dtype=bool), np.zeros(lb, dtype=bool))
-            for o in range(lb):
-                trk.open(base + o, ev.t)
-                origin_fill[base + o] = ev.fill_id
+            trk.open(b, ev.t)
+            origin_fill[b] = ev.fill_id
         elif isinstance(ev, WriteEvent):
             rec = records_by_uid[ev.uid]
-            base = slot_base(ev.set, ev.way)
-            for lane in np.where(rec.acc_mask)[0]:
-                a = int(rec.addrs[lane])
-                if a - a % lb != ev.line_addr:
-                    continue
-                for bofs in range(rec.nbytes):
-                    b = base + (a % lb) + bofs
-                    trk.close(b)
-                    trk.open(b, ev.t)
-                    origin_fill[b] = -1
+            lanes = np.flatnonzero(rec.acc_mask)
+            addr, _ = _lane_bytes(rec, lanes, None)
+            addr = addr[addr[:, 0] - addr[:, 0] % lb == ev.line_addr]
+            b = slot(ev)[0] + np.unique(addr - ev.line_addr)
+            trk.close(b)
+            trk.open(b, ev.t)
+            origin_fill[b] = -1
         elif isinstance(ev, ReadEvent):
-            base = slot_base(ev.set, ev.way)
+            b = slot(ev)
             if ev.kind == "demand":
                 rec = records_by_uid[ev.uid]
-                needed = rec.load_needed
-                for lane in np.where(rec.acc_mask)[0]:
-                    a = int(rec.addrs[lane])
-                    if a - a % lb != ev.line_addr:
-                        continue
-                    m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-                    for bofs in range(rec.nbytes):
-                        off = (a % lb) + bofs
-                        live = bool(m & (0xFF << (8 * bofs)))
-                        trk.read(base + off, ev.t, live)
-                        note_fill_usage(base + off, off, live)
+                lanes = np.flatnonzero(rec.acc_mask)
+                addr, live = _lane_bytes(rec, lanes, rec.load_needed)
+                mine = addr[:, 0] - addr[:, 0] % lb == ev.line_addr
+                off = (addr[mine] - ev.line_addr).ravel()
+                read(b[0] + off, off, ev.t, live[mine].ravel())
             elif ev.kind == "fill":
                 if upstream_fills is None or ev.link not in upstream_fills:
                     # No upstream analysis: conservatively fully live.
-                    up_read = up_live = np.ones(lb, dtype=bool)
+                    up_live = all_live
                 else:
-                    up_read, up_live = upstream_fills[ev.link]
-                for o in range(lb):
-                    live = bool(up_live[o])
-                    trk.read(base + o, ev.t, live)
-                    note_fill_usage(base + o, o, live)
+                    up_live = upstream_fills[ev.link][1]
+                read(b, line, ev.t, up_live)
             else:  # writeback
-                dirty = ev.byte_mask
-                for o in range(lb):
-                    if dirty is not None and dirty[o]:
-                        live = (
-                            memcons.live_after(ev.line_addr + o, ev.t)
-                            if memcons is not None else True
-                        )
-                    else:
-                        live = False  # clean bytes are checked, not written
-                    trk.read(base + o, ev.t, live)
-                    note_fill_usage(base + o, o, live)
+                live = np.zeros(lb, dtype=bool)  # clean bytes are checked, not written
+                if ev.byte_mask is not None:
+                    o = np.flatnonzero(ev.byte_mask)
+                    live[o] = True if memcons is None else memcons.consumed(ev.line_addr + o, ev.t)
+                read(b, line, ev.t, live)
         elif isinstance(ev, EvictEvent):
-            base = slot_base(ev.set, ev.way)
-            for o in range(lb):
-                trk.close(base + o)
-                origin_fill[base + o] = -1
-    trk.close_all()
-    lifetimes = StructureLifetimes(name or cache.name, trk.isets, 0, end_cycle)
-    return lifetimes, fills
+            b = slot(ev)
+            trk.close(b)
+            origin_fill[b] = -1
+    trk.close(np.arange(n_bytes))
+    return _lifetimes(name or cache.name, n_bytes, end_cycle, trk.parts), fills
 
 
 def merge_fill_maps(
@@ -298,64 +320,33 @@ def analyze_memory(
     validation campaigns compare against.
     """
     base, size = region
-    is_output = np.zeros(size, dtype=bool)
-    for obase, osize in output_ranges:
-        lo = max(obase, base)
-        hi = min(obase + osize, base + size)
-        if lo < hi:
-            is_output[lo - base : hi - base] = True
-    # Per-byte event lists: (t, kind) with kind 0=store, 1=dead load,
-    # 2=live load, gathered in time order.
-    events: List[List[Tuple[int, int]]] = [[] for _ in range(size)]
-    for rec in records:
-        if rec.space != "global" or rec.addrs is None:
-            continue
-        is_store = rec.op in ("v_store", "v_store_u8")
-        is_load = rec.op in ("v_load", "v_load_u8")
-        if not (is_store or is_load):
-            continue
-        needed = rec.mem_needed if is_store else rec.load_needed
-        for lane in np.where(rec.acc_mask)[0]:
-            a = int(rec.addrs[lane])
-            m = int(needed[lane]) if needed is not None else 0xFFFFFFFF
-            for b in range(rec.nbytes):
-                addr = a + b
-                if not base <= addr < base + size:
-                    continue
-                if is_store:
-                    events[addr - base].append((rec.t, 0))
-                else:
-                    live = bool(m & (0xFF << (8 * b)))
-                    events[addr - base].append((rec.t, 2 if live else 1))
-    isets: List[IntervalSet] = []
-    for off in range(size):
-        iset = IntervalSet()
-        seg_start = 0
-        last_live = 0
-        last_any = 0
-
-        def close(upto_live: int, upto_any: int, start: int) -> None:
-            if upto_live > start:
-                iset.append(start, upto_live, _ACE)
-            if upto_any > max(upto_live, start):
-                iset.append(max(upto_live, start), upto_any, _DEAD)
-
-        for t, kind in events[off]:
-            if kind == 0:
-                close(last_live, last_any, seg_start)
-                seg_start = t
-                last_live = t
-                last_any = t
-            else:
-                last_any = max(last_any, t)
-                if kind == 2:
-                    last_live = max(last_live, t)
-        if is_output[off]:
-            close(end_cycle, end_cycle, seg_start)
-        else:
-            close(last_live, last_any, seg_start)
-        isets.append(iset)
-    return StructureLifetimes(name, isets, 0, end_cycle)
+    is_output = _output_mask(base, size, output_ranges)
+    # Per-byte events (offset, t, kind) in record order, kind 0 = store,
+    # 1 = dead load, 2 = live load, after one cycle-0 store per byte (the
+    # host initialisation).
+    addr, t, store, live = _global_accesses(records)
+    inside = (addr >= base) & (addr < base + size)
+    zeros = np.zeros(size, dtype=np.int64)
+    off = np.concatenate([np.arange(size, dtype=np.int64), addr[inside] - base])
+    t = np.concatenate([zeros, t[inside]])
+    kind = np.concatenate([zeros, np.where(store, 0, 1 + live)[inside]])
+    order = np.argsort(off, kind="stable")
+    off, t, kind = off[order], t[order], kind[order]
+    # Every store opens a value segment; segment ids follow event order.
+    store = kind == 0
+    seg = np.cumsum(store) - 1
+    seg_byte, seg_start = off[store], t[store]
+    last_live = seg_start.copy()
+    np.maximum.at(last_live, seg[kind == 2], t[kind == 2])
+    last_any = seg_start.copy()
+    np.maximum.at(last_any, seg[~store], t[~store])
+    # A byte's last segment in an output buffer is ACE to the end.
+    last = np.ones(len(seg_byte), dtype=bool)
+    last[:-1] = seg_byte[1:] != seg_byte[:-1]
+    held = last & is_output[seg_byte]
+    last_live[held] = last_any[held] = end_cycle
+    parts = _segments(seg_byte, seg_start, last_live, last_any)
+    return _lifetimes(name, size, end_cycle, parts)
 
 
 def derive_tag_lifetimes(
@@ -379,24 +370,23 @@ def derive_tag_lifetimes(
     out line-contiguously); the result indexes tag entries per line with
     ``tag_bytes`` bytes each, matching
     :func:`repro.core.layout.build_tag_array`.
+
+    Each line's union is the :func:`~repro.core.intervals.sweep_max` of
+    its bytes, for all lines at once (:func:`csr_sweep_max`).
     """
-    n_bytes = len(data_lifetimes.byte_isets)
+    lt = data_lifetimes
+    n_bytes = lt.n_bytes
     if n_bytes % line_bytes:
         raise ValueError("data lifetimes are not a whole number of lines")
     n_lines = n_bytes // line_bytes
-    isets: List[IntervalSet] = []
-    from .intervals import sweep_max
-
-    for line in range(n_lines):
-        merged = sweep_max(
-            data_lifetimes.byte_isets[line * line_bytes : (line + 1) * line_bytes]
-        )
-        isets.extend([merged] * tag_bytes)
-    return StructureLifetimes(
-        name or f"{data_lifetimes.name}.tags",
-        isets,
-        data_lifetimes.start_cycle,
-        data_lifetimes.end_cycle,
+    line = np.repeat(np.arange(n_bytes) // line_bytes, np.diff(lt.offsets))
+    lines = csr_sweep_max(n_lines, line, lt.starts, lt.ends, lt.classes)
+    offsets, idx = csr_take(lines[0], np.repeat(np.arange(n_lines), tag_bytes))
+    return StructureLifetimes.from_csr(
+        name or f"{lt.name}.tags",
+        (offsets, lines[1][idx], lines[2][idx], lines[3][idx]),
+        lt.start_cycle,
+        lt.end_cycle,
     )
 
 
@@ -422,56 +412,38 @@ def analyze_vgpr(
     ``thread = lane``: ``(lane * n_vregs + reg) * 4 + byte``.
     """
     n_bytes = WAVEFRONT_LANES * n_vregs * 4
-    parts: List[List] = [[] for _ in range(n_bytes)]
+    parts: List[_Part] = []
     mine = [r for r in records if r.wf == wf_id]
-    if not mine:
-        return StructureLifetimes(
-            name or f"vgpr.wf{wf_id}",
-            [IntervalSet() for _ in range(n_bytes)],
-            0, end_cycle,
-        )
-    start = mine[0].t
-    # Byte ids of register r across lanes: shape (16, 4).
-    lane_base = (np.arange(WAVEFRONT_LANES) * n_vregs)[:, None] * 4
-    reg_idx = [
-        (lane_base + r * 4 + np.arange(4)[None, :]).ravel()
-        for r in range(n_vregs)
-    ]
-    seg_start = np.full(n_bytes, start, dtype=np.int64)
-    last_live = np.full(n_bytes, start, dtype=np.int64)
-    last_any = np.full(n_bytes, start, dtype=np.int64)
+    if mine:
+        start = mine[0].t
+        # Byte ids of register r across lanes: shape (16, 4).
+        lane_base = (np.arange(WAVEFRONT_LANES) * n_vregs)[:, None] * 4
+        reg_idx = [
+            (lane_base + r * 4 + np.arange(4)[None, :]).ravel()
+            for r in range(n_vregs)
+        ]
+        seg_start = np.full(n_bytes, start, dtype=np.int64)
+        last_live = np.full(n_bytes, start, dtype=np.int64)
+        last_any = np.full(n_bytes, start, dtype=np.int64)
 
-    def close_bytes(idx: np.ndarray, t: int) -> None:
-        s = seg_start[idx]
-        tl = last_live[idx]
-        ta = last_any[idx]
-        emit = np.where((tl > s) | (ta > np.maximum(tl, s)))[0]
-        for k in emit.tolist():
-            b = int(idx[k])
-            bs, btl, bta = int(s[k]), int(tl[k]), int(ta[k])
-            if btl > bs:
-                parts[b].append((bs, btl, _ACE))
-            if bta > max(btl, bs):
-                parts[b].append((max(btl, bs), bta, _DEAD))
-        seg_start[idx] = t
-        last_live[idx] = t
-        last_any[idx] = t
+        def close_bytes(idx: np.ndarray, t: int) -> None:
+            parts.extend(_segments(idx, seg_start[idx], last_live[idx], last_any[idx]))
+            seg_start[idx] = last_live[idx] = last_any[idx] = t
 
-    for rec in mine:
-        t = rec.t
-        if rec.src_needed is not None:
-            for src, mask in zip(rec.srcs, rec.src_needed):
-                if src[0] != "v" or src[1] >= n_vregs:
-                    continue
-                idx = reg_idx[src[1]]
-                last_any[idx] = t
-                if mask is not None:
-                    live = ((mask[:, None] >> _BYTE_SHIFTS) & np.uint32(0xFF)) != 0
-                    last_live[idx[live.ravel()]] = t
-        if rec.dst is not None and rec.dst[0] == "v" and rec.dst[1] < n_vregs:
-            lanes = rec.acc_mask if rec.acc_mask is not None else rec.exec_mask
-            idx = reg_idx[rec.dst[1]].reshape(WAVEFRONT_LANES, 4)[lanes].ravel()
-            close_bytes(idx, t)
-    close_bytes(np.arange(n_bytes), mine[-1].t)
-    isets = [IntervalSet(p) if p else IntervalSet() for p in parts]
-    return StructureLifetimes(name or f"vgpr.wf{wf_id}", isets, 0, end_cycle)
+        for rec in mine:
+            t = rec.t
+            if rec.src_needed is not None:
+                for src, mask in zip(rec.srcs, rec.src_needed):
+                    if src[0] != "v" or src[1] >= n_vregs:
+                        continue
+                    idx = reg_idx[src[1]]
+                    last_any[idx] = t
+                    if mask is not None:
+                        live = ((mask[:, None] >> _BYTE_SHIFTS) & np.uint32(0xFF)) != 0
+                        last_live[idx[live.ravel()]] = t
+            if rec.dst is not None and rec.dst[0] == "v" and rec.dst[1] < n_vregs:
+                lanes = rec.acc_mask if rec.acc_mask is not None else rec.exec_mask
+                idx = reg_idx[rec.dst[1]].reshape(WAVEFRONT_LANES, 4)[lanes].ravel()
+                close_bytes(idx, t)
+        close_bytes(np.arange(n_bytes), mine[-1].t)
+    return _lifetimes(name or f"vgpr.wf{wf_id}", n_bytes, end_cycle, parts)

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 import numpy as np
 
 from ..ioutil import atomic_write
 from .avf import MbAvfResult, StructureLifetimes
 from .faultmodes import FaultMode
-from .intervals import IntervalSet, Outcome
+from .intervals import Outcome
 
 __all__ = [
     "save_lifetimes",
@@ -38,34 +38,20 @@ PathLike = Union[str, Path]
 def save_lifetimes(lifetimes: StructureLifetimes, path: PathLike) -> None:
     """Write a structure's lifetimes to a compressed ``.npz`` file.
 
-    All intervals are flattened into three parallel arrays plus a per-byte
-    offset index, which keeps files compact (one L2's lifetimes are a few
-    hundred KB) and reload exact.
+    The CSR table is written as is: a per-byte ``offsets`` index into
+    three parallel interval arrays (classes as ``int8``), which keeps files
+    compact (one L2's lifetimes are a few hundred KB) and reload exact.
     """
-    counts = np.array([len(s) for s in lifetimes.byte_isets], dtype=np.int64)
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-    starts = np.empty(total, dtype=np.int64)
-    ends = np.empty(total, dtype=np.int64)
-    classes = np.empty(total, dtype=np.int8)
-    k = 0
-    for iset in lifetimes.byte_isets:
-        for s_, e_, c_ in iset:
-            starts[k] = s_
-            ends[k] = e_
-            classes[k] = c_
-            k += 1
     atomic_write(
         Path(path),
         lambda fh: np.savez_compressed(
             fh,
             name=np.array(lifetimes.name),
             window=np.array([lifetimes.start_cycle, lifetimes.end_cycle]),
-            offsets=offsets,
-            starts=starts,
-            ends=ends,
-            classes=classes,
+            offsets=lifetimes.offsets,
+            starts=lifetimes.starts,
+            ends=lifetimes.ends,
+            classes=lifetimes.classes.astype(np.int8),
         ),
     )
 
@@ -73,22 +59,12 @@ def save_lifetimes(lifetimes: StructureLifetimes, path: PathLike) -> None:
 def load_lifetimes(path: PathLike) -> StructureLifetimes:
     """Read lifetimes written by :func:`save_lifetimes`."""
     with np.load(Path(path), allow_pickle=False) as data:
-        offsets = data["offsets"]
-        starts = data["starts"]
-        ends = data["ends"]
-        classes = data["classes"]
-        isets: List[IntervalSet] = []
-        for b in range(len(offsets) - 1):
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            isets.append(
-                IntervalSet(
-                    (int(starts[k]), int(ends[k]), int(classes[k]))
-                    for k in range(lo, hi)
-                )
-            )
         window = data["window"]
-        return StructureLifetimes(
-            str(data["name"]), isets, int(window[0]), int(window[1])
+        return StructureLifetimes.from_csr(
+            str(data["name"]),
+            (data["offsets"], data["starts"], data["ends"], data["classes"]),
+            int(window[0]),
+            int(window[1]),
         )
 
 

@@ -103,7 +103,7 @@ class ObjectDtype(Rule):
         "Object arrays are boxed-pointer arrays: every kernel falls "
         "back to Python-speed element loops, comparisons become "
         "identity-dependent, and tobytes()-style canonical encodings "
-        "(IntervalSet._key) stop being value-deterministic."
+        "(IntervalSet hashing) stop being value-deterministic."
     )
     scope = None
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    AvfConfig,
     AvfStudy,
     FaultMode,
     Interleaving,
@@ -183,6 +184,83 @@ class TestLayoutSpans:
         enumerated = [e.args for e in events if e.name == "enumerate"]
         assert all(a["unique_blocks"] <= a["blocks"] for a in enumerated)
         assert any(a["unique_blocks"] > 0 for a in enumerated)
+
+
+class TestLifetimeSpans:
+    def test_every_lifetime_span_is_sized(self):
+        from repro import obs
+
+        r = run("vectoradd", n_cus=1)
+        study = AvfStudy(r.apu, r.output_ranges)
+        _, tracer = obs.enable(metrics=False)
+        try:
+            study.cache_avf("l2", FaultMode.linear(2), Parity())
+            study.vgpr_avf(FaultMode.linear(2), Parity())
+            study.tag_avf("l1", FaultMode.linear(2), Parity())
+            mem = study.memory_lifetimes(r.output_ranges[0])
+            events = list(tracer.events)
+        finally:
+            obs.disable()
+        spans = {
+            e.args["structure"]: e.args for e in events if e.name == "lifetime"
+        }
+        assert set(spans) == {"l1", "l2", "vgpr", "vgpr.stack", "l1.tags", "memory"}
+        assert spans["memory"]["bytes"] == mem.n_bytes
+        assert spans["memory"]["intervals"] == len(mem.starts)
+        assert spans["l2"]["bytes"] == study.l2_lifetime().n_bytes
+        assert spans["vgpr.stack"]["bytes"] == spans["vgpr"]["bytes"]
+        assert spans["vgpr.stack"]["intervals"] == spans["vgpr"]["intervals"]
+        assert spans["l2"]["intervals"] > 0 and spans["vgpr"]["intervals"] > 0
+        canon = [e.args for e in events if e.name == "canon"]
+        assert {a["structure"] for a in canon} == {"l2", "vgpr", "l1.0.tags"}
+        # Every unique lifetime but the empty one has an interval.
+        assert all(a["intervals"] >= a["isets"] - 1 for a in canon)
+
+
+class TestStackedVgprLifetimesShared:
+    LAYOUTS = [
+        (Interleaving.INTRA_THREAD, 1),
+        (Interleaving.INTRA_THREAD, 2),
+        (Interleaving.INTER_THREAD, 4),
+    ]
+
+    @staticmethod
+    def _misses(layouts):
+        """Results and ``avf.batch_cache_misses`` of one config per layout
+        on a fresh study."""
+        from repro import obs
+
+        r = run("vectoradd", n_cus=1)
+        study = AvfStudy(r.apu, r.output_ranges)
+        study.vgpr_lifetimes()
+        cfg = AvfConfig(FaultMode.linear(2), Parity())
+        metrics, _ = obs.enable(tracing=False)
+        try:
+            results = [
+                study.vgpr_avf_batch([cfg], style=style, factor=factor)[0]
+                for style, factor in layouts
+            ]
+            misses = metrics.counter("avf.batch_cache_misses").value
+        finally:
+            obs.disable()
+        return study, results, misses
+
+    def test_layouts_share_one_lifetimes_object(self, matmul_study):
+        stacks = [matmul_study._stacked_vgpr(*lay) for lay in self.LAYOUTS]
+        assert len({id(layout) for layout, _ in stacks}) == len(self.LAYOUTS)
+        assert all(lt is stacks[0][1] for _, lt in stacks)
+
+    def test_canonical_ids_computed_once_per_study(self):
+        _, one, m1 = self._misses(self.LAYOUTS[:1])
+        study, all_, m3 = self._misses(self.LAYOUTS)
+        # Per layout: one enumeration and one result miss; the canonical
+        # table misses once per study.
+        assert (m1, m3) == (3, 7)
+        assert all_[0].outcome_cycles == one[0].outcome_cycles
+        for (style, factor), res in zip(self.LAYOUTS, all_):
+            _, alone, _ = self._misses([(style, factor)])
+            assert res.outcome_cycles == alone[0].outcome_cycles
+            assert res.n_groups == alone[0].n_groups
 
 
 class TestStackedVgprLayout:

@@ -53,6 +53,35 @@ class TestLifetimeRoundtrip:
         for a, b in zip(back.byte_isets, lt.byte_isets):
             assert a.intervals() == b.intervals()
 
+    def test_loads_file_in_the_flat_interval_layout(self, tmp_path):
+        """A file in the on-disk layout (per-byte offsets, flat int64
+        starts/ends, int8 classes), written here without the saver, loads
+        to the same CSR arrays, and the saver writes exactly that layout."""
+        path = tmp_path / "flat.npz"
+        np.savez_compressed(
+            path,
+            name=np.array("flat"),
+            window=np.array([0, 100]),
+            offsets=np.array([0, 2, 2, 3], dtype=np.int64),
+            starts=np.array([0, 12, 5], dtype=np.int64),
+            ends=np.array([10, 20, 6], dtype=np.int64),
+            classes=np.array([ACE, DEAD, ACE], dtype=np.int8),
+        )
+        back = load_lifetimes(path)
+        want = self._sample()
+        assert (back.name, back.start_cycle, back.end_cycle) == ("flat", 0, 100)
+        for col in ("offsets", "starts", "ends", "classes"):
+            got = getattr(back, col)
+            np.testing.assert_array_equal(got, getattr(want, col))
+            assert got.dtype == np.int64 and not got.flags.writeable
+        resaved = tmp_path / "resaved.npz"
+        save_lifetimes(back, resaved)
+        with np.load(path) as a, np.load(resaved) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in a.files:
+                assert a[key].dtype == b[key].dtype
+                np.testing.assert_array_equal(a[key], b[key])
+
     def test_analysis_on_reloaded_lifetimes_matches(self, tmp_path):
         """The decoupled flow: save lifetimes, reload, re-measure."""
         from repro.core.layout import Interleaving, build_cache_array
